@@ -60,9 +60,6 @@ pub fn analyze_report(files: &[SourceFile]) -> Report {
             rules::condvar::check(file, s, &mut diags);
             rules::joins::check(file, s, &mut diags);
             rules::accum::check(file, s, &mut diags);
-            if rules::in_scope("bench-schema", file) {
-                rules::benchschema::check(file, s, &mut diags);
-            }
         }
     }
     diags.extend(locks::cycles(&edges));

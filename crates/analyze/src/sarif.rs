@@ -58,7 +58,10 @@ pub fn render(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// JSON string escaping (quotes, backslashes, control characters).
+/// JSON string escaping (quotes, backslashes, control characters). The
+/// workspace's one JSON module is `ppbench_core::json`; this crate keeps
+/// its own 20-line escaper on purpose — the analyzer must build with zero
+/// dependencies, including on the code it lints.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

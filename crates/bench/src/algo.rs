@@ -10,38 +10,28 @@
 //! over explicit thread counts. Because the algo kernels are
 //! bit-deterministic, the comparison against serial is exact equality of
 //! the output vectors, not a tolerance. Results land in
-//! `BENCH_algo.json`; `--check` re-validates that file's schema so CI
-//! catches drift.
+//! `BENCH_algo.json`; `ppsweep check` re-validates that file's schema so
+//! CI catches drift.
 
-use ppbench_core::json::{JsonArray, JsonObject};
-use ppbench_core::workload::{self, Workload};
+use ppbench_core::workload::{self, AlgoOutcome, Workload};
 use ppbench_core::{PipelineConfig, Stopwatch, Variant};
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-algo-v1";
+use ppbench_core::json::Json;
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &["benchmark", "edge_factor", "results", "seed"];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "checksum",
-    "edges",
-    "impl",
-    "matches_serial",
-    "meps",
-    "scale",
-    "seconds",
-    "stat",
-    "threads",
-    "vertices",
-    "workload",
-];
+use crate::harness::{self, parse_scale_list, parse_thread_list, sweep_points, Field, Sweep};
 
 /// The analytics workloads under measurement (every workload except
-/// PageRank, which `k3bench` covers on its own axis).
+/// PageRank, which the `k3` sweep covers on its own axis).
 pub const ALGO_WORKLOADS: [Workload; 4] =
     [Workload::Bfs, Workload::Cc, Workload::Sssp, Workload::Tc];
+
+/// The two implementations of each workload: the serial oracle (the naive
+/// backend's kernel), measured first at one thread — a row and the equality
+/// reference — then the optimized kernel, swept over the thread counts.
+pub const IMPLS: [harness::Variant<Variant>; 2] = [
+    (Variant::Naive, "serial", false),
+    (Variant::Optimized, "optimized", true),
+];
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -94,109 +84,99 @@ pub struct SweepRow {
     pub matches_serial: bool,
 }
 
-/// Runs the full sweep. Per scale, the kernel-2 matrix is built once;
-/// per workload, the serial oracle runs first (at one thread) as both a
-/// measurement and the equality reference, then the optimized kernel
-/// runs once per requested thread count. Row order is deterministic:
-/// scale-major, then [`ALGO_WORKLOADS`] order, serial before optimized,
-/// then thread order as given.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let mut rows = Vec::new();
-    for &scale in &cfg.scales {
-        let matrix = crate::k3::build_matrix(scale, cfg.edge_factor, cfg.seed);
-        for w in ALGO_WORKLOADS {
-            let pipeline_cfg = |variant: Variant| {
-                PipelineConfig::builder()
-                    .scale(scale)
-                    .edge_factor(cfg.edge_factor)
-                    .seed(cfg.seed)
-                    .workload(w)
-                    .variant(variant)
-                    .build()
-            };
-            crate::k3::size_pool(1)?;
-            let serial_cfg = pipeline_cfg(Variant::Naive);
-            let sw = Stopwatch::start();
-            let serial = workload::run_algo(&serial_cfg, &matrix).map_err(|e| e.to_string())?;
-            let serial_secs = sw.elapsed_secs();
-            rows.push(SweepRow {
-                workload: w.name(),
-                impl_name: "serial",
-                scale,
-                threads: 1,
-                vertices: matrix.rows(),
-                edges: serial.work_items,
-                seconds: serial_secs,
-                meps: serial.work_items as f64 / serial_secs.max(1e-15) / 1e6,
-                stat: serial.stat,
-                checksum: serial.checksum,
-                matches_serial: true,
-            });
-            let opt_cfg = pipeline_cfg(Variant::Optimized);
-            for &threads in &cfg.threads {
-                crate::k3::size_pool(threads)?;
-                let sw = Stopwatch::start();
-                let out = workload::run_algo(&opt_cfg, &matrix).map_err(|e| e.to_string())?;
-                let seconds = sw.elapsed_secs();
-                rows.push(SweepRow {
-                    workload: w.name(),
-                    impl_name: "optimized",
-                    scale,
-                    threads,
-                    vertices: matrix.rows(),
-                    edges: out.work_items,
-                    seconds,
-                    meps: out.work_items as f64 / seconds.max(1e-15) / 1e6,
-                    stat: out.stat,
-                    checksum: out.checksum,
-                    matches_serial: out.values == serial.values,
-                });
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const NAME: &'static str = "algo";
+    const TAG: &'static str = "ppbench-algo-v1";
+    const OUT: &'static str = "BENCH_algo.json";
+    const FLAGS: &'static str =
+        "[--scales LO:HI,N,...] [--threads N,N,...] [--edge-factor K] [--seed N]";
+    const TOP: &'static [Field<Self>] = &[
+        Field::new("edge_factor", |c| Json::Uint(c.edge_factor)),
+        Field::new("seed", |c| Json::Uint(c.seed)),
+    ];
+    const COLUMNS: &'static [Field<SweepRow>] = &[
+        Field::new("scale", |r| Json::Uint(r.scale.into())),
+        Field::new("workload", |r| Json::String(r.workload.into())),
+        Field::new("impl", |r| Json::String(r.impl_name.into())),
+        Field::new("threads", |r| Json::Uint(r.threads as u64)),
+        Field::new("vertices", |r| Json::Uint(r.vertices)),
+        Field::new("edges", |r| Json::Uint(r.edges)),
+        Field::new("seconds", |r| Json::Number(r.seconds)),
+        Field::new("meps", |r| Json::Number(r.meps)),
+        Field::new("stat", |r| Json::Uint(r.stat)),
+        Field::new("checksum", |r| Json::String(format!("{:016x}", r.checksum))),
+        Field::new("matches_serial", |r| Json::Bool(r.matches_serial)),
+    ];
+
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Option<String>) -> Option<()> {
+        match flag {
+            "--scales" => self.scales = parse_scale_list(&value()?)?,
+            "--threads" => self.threads = parse_thread_list(&value()?)?,
+            "--edge-factor" => self.edge_factor = value()?.parse().ok()?,
+            "--seed" => self.seed = value()?.parse().ok()?,
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// Per scale, the kernel-2 matrix is built once; per workload, one
+    /// single-trial [`sweep_points`] pass over [`IMPLS`] compares each
+    /// output vector with the oracle's for exact equality. Row order: scale-major, then [`ALGO_WORKLOADS`] order,
+    /// serial before optimized, then thread order as given.
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        let mut rows = Vec::new();
+        for &scale in &self.scales {
+            let matrix = crate::k3::build_matrix(scale, self.edge_factor, self.seed);
+            for w in ALGO_WORKLOADS {
+                let points = sweep_points(
+                    &IMPLS,
+                    &self.threads,
+                    1,
+                    |variant, _| {
+                        let cfg = PipelineConfig::builder()
+                            .scale(scale)
+                            .edge_factor(self.edge_factor)
+                            .seed(self.seed)
+                            .workload(w)
+                            .variant(variant)
+                            .build();
+                        let sw = Stopwatch::start();
+                        let out = workload::run_algo(&cfg, &matrix).map_err(|e| e.to_string())?;
+                        Ok(Some((sw.elapsed_secs(), out)))
+                    },
+                    |serial: Option<&AlgoOutcome>, out| {
+                        let matches = serial.is_none_or(|s| out.values == s.values);
+                        Ok((out.work_items, out.stat, out.checksum, matches))
+                    },
+                )?
+                .points;
+                rows.extend(points.into_iter().map(|p| {
+                    let (edges, stat, checksum, matches_serial) = p.summary;
+                    SweepRow {
+                        workload: w.name(),
+                        impl_name: p.variant,
+                        scale,
+                        threads: p.threads,
+                        vertices: matrix.rows(),
+                        edges,
+                        seconds: p.seconds,
+                        meps: edges as f64 / p.seconds.max(1e-15) / 1e6,
+                        stat,
+                        checksum,
+                        matches_serial,
+                    }
+                }));
             }
         }
-        // Leave the pool unpinned for whatever runs next in this process.
-        crate::k3::size_pool(0)?;
+        Ok(rows)
     }
-    Ok(rows)
-}
-
-/// Renders the sweep as the canonical `BENCH_algo.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("workload", row.workload)
-            .set_str("impl", row.impl_name)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("vertices", row.vertices)
-            .set_u64("edges", row.edges)
-            .set_f64("seconds", row.seconds)
-            .set_f64("meps", row.meps)
-            .set_u64("stat", row.stat)
-            .set_str("checksum", &format!("{:016x}", row.checksum))
-            .set_bool("matches_serial", row.matches_serial);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed);
-    obj.render()
-}
-
-/// Validates a `BENCH_algo.json` document against the expected schema:
-/// correct version tag, exactly [`TOP_KEYS`] at the top level, at least
-/// one result row, and exactly [`ROW_KEYS`] on every row. Fails on drift
-/// in either direction (missing *or* extra keys).
-pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::to_json;
 
     fn tiny_cfg() -> SweepConfig {
         SweepConfig {
@@ -210,7 +190,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_workload_and_matches_serial() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         // 4 workloads × (1 serial + 2 optimized thread counts).
         assert_eq!(rows.len(), 4 * 3);
         for w in ALGO_WORKLOADS {
@@ -220,6 +200,10 @@ mod tests {
                 w.name()
             );
         }
+        assert_eq!(
+            crate::check_document(&to_json(&cfg, &rows)),
+            Ok(SweepConfig::TAG)
+        );
         for row in &rows {
             assert!(row.matches_serial, "{row:?} diverged from its oracle");
             assert!(row.meps > 0.0, "{row:?}");
@@ -238,31 +222,5 @@ mod tests {
                 w.name()
             );
         }
-    }
-
-    #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"meps\":", "\"mepz\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-algo-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
     }
 }

@@ -13,7 +13,8 @@
 
 use std::process::exit;
 
-use ppbench_bench::{parse_scale_range, plot, sweep};
+use ppbench_bench::harness::parse_scale_range;
+use ppbench_bench::{plot, sweep};
 use ppbench_core::Variant;
 
 struct Args {

@@ -123,14 +123,9 @@ fn main() {
     // Size the global rayon pool before any parallel stage runs, so every
     // kernel of this process uses exactly the requested worker count and
     // the recorded number is what actually ran.
-    if let Some(n) = threads {
-        if let Err(e) = rayon::ThreadPoolBuilder::new()
-            .num_threads(n as usize)
-            .build_global()
-        {
-            eprintln!("failed to size the thread pool to {n}: {e}");
-            exit(1);
-        }
+    if let Some(Err(e)) = threads.map(|n| ppbench_bench::harness::size_pool(n as usize)) {
+        eprintln!("{e}");
+        exit(1);
     }
 
     // Distributed mode: run the simulated cluster, report communication

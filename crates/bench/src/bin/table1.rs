@@ -33,4 +33,12 @@ fn main() {
             std::process::exit(1);
         }
     }
+    println!("\nNon-test source lines per workspace crate (the design-diet trend):\n");
+    match sloc::workspace_sloc(&root) {
+        Ok(rows) => print!("{}", sloc::render_table1(&rows)),
+        Err(e) => {
+            eprintln!("failed to count workspace SLOC: {e}");
+            std::process::exit(1);
+        }
+    }
 }

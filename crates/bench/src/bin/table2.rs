@@ -9,7 +9,7 @@ use ppbench_core::table;
 fn main() {
     let range = std::env::args()
         .nth(1)
-        .and_then(|s| ppbench_bench::parse_scale_range(&s))
+        .and_then(|s| ppbench_bench::harness::parse_scale_range(&s))
         .unwrap_or(16..=22);
     println!("TABLE II. BENCHMARK RUN SIZES");
     println!(

@@ -11,8 +11,8 @@
 //! merge, pipelined external merge), each swept over explicit thread
 //! counts and scales. Results land in `BENCH_k01.json` as canonical JSON
 //! (sorted keys, shortest-roundtrip floats, rendered by
-//! `ppbench_core::json`), giving later PRs a baseline to beat; the
-//! `--check` mode re-validates that file's schema — including a >1%
+//! `ppbench_core::json`), giving later PRs a baseline to beat;
+//! `ppsweep check` re-validates that file's schema — including a >1%
 //! rate-vs-raw-measurement consistency gate — so CI catches drift in
 //! either direction.
 //!
@@ -27,38 +27,18 @@
 
 use std::path::Path;
 
-use ppbench_core::json::{JsonArray, JsonObject};
 use ppbench_core::{kernel0, kernel1, PipelineConfig, Stopwatch};
 use ppbench_gen::RmatSampler;
 use ppbench_io::tempdir::TempDir;
 use ppbench_io::{EdgeReader, EdgeWriter, Manifest, SortState, BYTES_PER_EDGE};
 use ppbench_sort::{Algorithm, ExternalSorter, SortKey};
 
-/// Version tag written into the JSON so schema changes are explicit.
-/// v3 added the `gen` axis (R-MAT sampler per kernel-0 row), the
-/// `gb_per_s` rate column, and the `faithful_max_scale`/`k1_max_scale`
-/// sweep caps.
-pub const SCHEMA_VERSION: &str = "ppbench-k01-v3";
+use ppbench_core::json::Json;
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "budget_divisor",
-    "edge_factor",
-    "faithful_max_scale",
-    "gens",
-    "k1_max_scale",
-    "num_files",
-    "results",
-    "seed",
-    "trials",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "edges", "gb_per_s", "gen", "kernel", "mb_per_s", "mbytes", "scale", "seconds", "threads",
-    "variant",
-];
+use crate::harness::{
+    parse_positive, parse_scale_list, parse_thread_list, sweep_points, Field, Point, RateRule,
+    Sweep, Variant,
+};
 
 /// The kernel-0 write strategies under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,29 +53,12 @@ pub enum K0Variant {
     Sharded,
 }
 
-impl K0Variant {
-    /// Every variant, measurement order (the first is the reference).
-    pub const ALL: [K0Variant; 3] = [
-        K0Variant::Materialize,
-        K0Variant::Stream,
-        K0Variant::Sharded,
-    ];
-
-    /// Stable name used in the JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            K0Variant::Materialize => "materialize",
-            K0Variant::Stream => "stream",
-            K0Variant::Sharded => "sharded",
-        }
-    }
-
-    /// Whether the variant uses the thread pool (serial variants are
-    /// measured once, at `threads = 1`).
-    pub fn is_parallel(self) -> bool {
-        matches!(self, K0Variant::Materialize | K0Variant::Sharded)
-    }
-}
+/// Every kernel-0 variant, measurement order (the first is the reference).
+pub const K0_VARIANTS: [Variant<K0Variant>; 3] = [
+    (K0Variant::Materialize, "materialize", true),
+    (K0Variant::Stream, "stream", false),
+    (K0Variant::Sharded, "sharded", true),
+];
 
 /// The kernel-1 sort paths under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,25 +73,14 @@ pub enum K1Variant {
     Pipelined,
 }
 
-impl K1Variant {
-    /// Every variant, measurement order (the first is the reference).
-    pub const ALL: [K1Variant; 3] = [K1Variant::InMem, K1Variant::External, K1Variant::Pipelined];
-
-    /// Stable name used in the JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            K1Variant::InMem => "inmem",
-            K1Variant::External => "external",
-            K1Variant::Pipelined => "pipelined",
-        }
-    }
-
-    /// Whether the variant uses the thread pool (the external sorters
-    /// parallelize run sorting; the in-memory radix sort is serial).
-    pub fn is_parallel(self) -> bool {
-        matches!(self, K1Variant::External | K1Variant::Pipelined)
-    }
-}
+/// Every kernel-1 variant, measurement order (the first is the reference).
+/// The external sorters parallelize run sorting; the in-memory radix sort
+/// is serial.
+pub const K1_VARIANTS: [Variant<K1Variant>; 3] = [
+    (K1Variant::InMem, "inmem", false),
+    (K1Variant::External, "external", true),
+    (K1Variant::Pipelined, "pipelined", true),
+];
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -185,7 +137,7 @@ impl Default for SweepConfig {
 pub struct SweepRow {
     /// `"k0"` or `"k1"`.
     pub kernel: &'static str,
-    /// Variant name (see [`K0Variant::name`] / [`K1Variant::name`]).
+    /// Variant name (see [`K0_VARIANTS`] / [`K1_VARIANTS`]).
     pub variant: &'static str,
     /// R-MAT sampler name (see [`RmatSampler::name`]). Kernel-1 rows
     /// carry the sampler whose output they sorted.
@@ -207,30 +159,53 @@ pub struct SweepRow {
     pub gb_per_s: f64,
 }
 
-/// Sizes the global thread pool, surfacing the error as a string (the
-/// shim never fails; real rayon could).
-fn size_pool(threads: usize) -> Result<(), String> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .map_err(|e| format!("failed to size thread pool to {threads}: {e}"))
+/// One repetition's output: the file set (deleted when this drops, so a
+/// big sweep never holds more than the reference plus one on disk), its
+/// manifest, and its on-disk size.
+struct Written {
+    manifest: Manifest,
+    bytes: u64,
+    dir: TempDir,
 }
 
-/// Sums the on-disk bytes of a manifest's files.
-fn dir_bytes(dir: &Path, manifest: &Manifest) -> Result<u64, String> {
-    let mut total = 0u64;
+/// Times `write` into a fresh scratch directory.
+fn measure(
+    write: impl FnOnce(&Path) -> Result<Manifest, String>,
+) -> Result<(f64, Written), String> {
+    let dir = TempDir::new("ppsweep-k01").map_err(|e| format!("cannot create scratch dir: {e}"))?;
+    let sw = Stopwatch::start();
+    let manifest = write(dir.path())?;
+    let seconds = sw.elapsed_secs();
+    let mut bytes = 0u64;
     for f in &manifest.files {
         let path = dir.join(&f.name);
         let meta =
             std::fs::metadata(&path).map_err(|e| format!("cannot stat {}: {e}", path.display()))?;
-        total += meta.len();
+        bytes += meta.len();
     }
-    Ok(total)
+    Ok((
+        seconds,
+        Written {
+            manifest,
+            bytes,
+            dir,
+        },
+    ))
+}
+
+/// The identity gate of both kernels: every output's edge-stream digest
+/// must equal the reference's (first variant, first trial). Condenses the
+/// output to the `(edges, bytes)` a row needs.
+fn same_stream(reference: Option<&Written>, got: &Written) -> Result<(u64, u64), String> {
+    if reference.is_some_and(|r| !got.manifest.digest.same_stream(&r.manifest.digest)) {
+        return Err("wrote a different edge stream than the reference".to_string());
+    }
+    Ok((got.manifest.edges, got.bytes))
 }
 
 /// Runs one kernel-0 variant into `dir` and returns its manifest.
 fn run_k0(cfg: &PipelineConfig, variant: K0Variant, dir: &Path) -> Result<Manifest, String> {
-    let err = |e: ppbench_core::Error| format!("k0 {}: {e}", variant.name());
+    let err = |e: ppbench_core::Error| format!("k0 {variant:?}: {e}");
     let generator = kernel0::build_generator(cfg);
     match variant {
         K0Variant::Materialize => {
@@ -261,27 +236,14 @@ fn run_k1(
     variant: K1Variant,
     budget_bytes: u64,
 ) -> Result<Manifest, String> {
-    let err = |e: ppbench_core::Error| format!("k1 {}: {e}", variant.name());
+    let err = |e: ppbench_core::Error| format!("k1 {variant:?}: {e}");
     let io_err = |e: ppbench_io::Error| format!("k1 external: {e}");
     match variant {
-        K1Variant::InMem => kernel1::sort_file_set(
-            in_dir,
-            out_dir,
-            num_files,
-            SortKey::Start,
-            Algorithm::Radix,
-            None,
-        )
-        .map_err(err),
-        K1Variant::Pipelined => kernel1::sort_file_set(
-            in_dir,
-            out_dir,
-            num_files,
-            SortKey::Start,
-            Algorithm::Radix,
-            Some(budget_bytes),
-        )
-        .map_err(err),
+        K1Variant::InMem | K1Variant::Pipelined => {
+            let budget = (variant == K1Variant::Pipelined).then_some(budget_bytes);
+            let (key, algorithm) = (SortKey::Start, Algorithm::Radix);
+            kernel1::sort_file_set(in_dir, out_dir, num_files, key, algorithm, budget).map_err(err)
+        }
         K1Variant::External => {
             // The pre-pipeline spill path, preserved as the baseline: one
             // thread reads, sorts runs, merges, and writes, strictly in
@@ -309,306 +271,191 @@ fn run_k1(
     }
 }
 
-/// Derives a row's `(mbytes, mb_per_s, gb_per_s)` from raw bytes and
-/// seconds, so every rate in the document is computed in exactly one
-/// place (the schema gate cross-checks them against the raw fields).
-fn rates(bytes: u64, seconds: f64) -> (f64, f64, f64) {
-    let mbytes = bytes as f64 / 1e6;
-    let mb_per_s = mbytes / seconds.max(1e-15);
-    (mbytes, mb_per_s, mb_per_s / 1e3)
+impl SweepRow {
+    /// Builds a row, deriving `mbytes`/`mb_per_s`/`gb_per_s` from raw bytes
+    /// and seconds so every rate in the document is computed in exactly one
+    /// place (the schema gate cross-checks them against the raw fields).
+    fn new(kernel: &'static str, gen: &'static str, scale: u32, point: Point<(u64, u64)>) -> Self {
+        let (edges, bytes) = point.summary;
+        let mbytes = bytes as f64 / 1e6;
+        let mb_per_s = mbytes / point.seconds.max(1e-15);
+        SweepRow {
+            kernel,
+            variant: point.variant,
+            gen,
+            scale,
+            threads: point.threads,
+            edges,
+            mbytes,
+            seconds: point.seconds,
+            mb_per_s,
+            gb_per_s: mb_per_s / 1e3,
+        }
+    }
 }
 
-/// Runs the full sweep. For each scale, kernel 0 runs once per requested
-/// sampler (the `gen` axis; the faithful sampler is skipped above
-/// [`SweepConfig::faithful_max_scale`]); within a sampler the serial
-/// variants run once at one thread and the parallel variants once per
-/// requested thread count (the global pool is resized between points).
-/// Kernel 1 then runs once per scale from the first sampler's verified
-/// kernel-0 output, unless the scale exceeds [`SweepConfig::k1_max_scale`].
-/// Each point is measured [`SweepConfig::trials`] times and the fastest
-/// repetition is kept, with every repetition digest-checked against its
-/// first. Row order is deterministic: scale-major, kernel 0 before
-/// kernel 1, then `gens` order, then `ALL` order, then thread order as
-/// given. Every measurement's output digest is checked against its
-/// kernel's first-measured variant under the same sampler; a mismatch
-/// fails the sweep.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let td = TempDir::new("k01bench").map_err(|e| format!("cannot create scratch dir: {e}"))?;
-    if cfg.gens.is_empty() {
-        return Err("no samplers to sweep (gens is empty)".to_string());
-    }
-    let mut rows = Vec::new();
-    for &scale in &cfg.scales {
-        let gens: Vec<RmatSampler> = cfg
-            .gens
-            .iter()
-            .copied()
-            .filter(|g| {
-                *g != RmatSampler::Faithful || cfg.faithful_max_scale.is_none_or(|cap| scale <= cap)
-            })
-            .collect();
-        if gens.is_empty() {
-            continue;
-        }
-        // Kernel 1's input: the first sampler's verified kernel-0 output.
-        let mut k1_input: Option<(Manifest, std::path::PathBuf, &'static str)> = None;
-
-        // --- Kernel 0: generate + write, once per sampler ---
-        for &gen in &gens {
-            let pcfg = PipelineConfig::builder()
-                .scale(scale)
-                .edge_factor(cfg.edge_factor)
-                .seed(cfg.seed)
-                .num_files(cfg.num_files)
-                .gen(gen)
-                .build();
-            // The first variant measured under each sampler doubles as
-            // that sampler's byte-level reference (the two samplers emit
-            // different — equally distributed — streams, so references
-            // are per-(scale, gen)).
-            let mut k0_ref: Option<(Manifest, std::path::PathBuf)> = None;
-            for variant in K0Variant::ALL {
-                let thread_counts: &[usize] = if variant.is_parallel() {
-                    &cfg.threads
-                } else {
-                    &[1]
-                };
-                for &threads in thread_counts {
-                    size_pool(threads)?;
-                    // Best-of-N: the first trial's output is kept (for
-                    // the digest reference and as kernel 1's input);
-                    // every later trial must reproduce its byte stream
-                    // and is deleted.
-                    let mut kept: Option<(Manifest, std::path::PathBuf)> = None;
-                    let mut seconds = f64::INFINITY;
-                    for trial in 0..cfg.trials.max(1) {
-                        let dir = td.join(&format!(
-                            "s{scale}-{}-k0-{}-t{threads}-r{trial}",
-                            gen.name(),
-                            variant.name()
-                        ));
-                        let sw = Stopwatch::start();
-                        let manifest = run_k0(&pcfg, variant, &dir)?;
-                        seconds = seconds.min(sw.elapsed_secs());
-                        match &kept {
-                            None => kept = Some((manifest, dir)),
-                            Some((first, _)) => {
-                                if !manifest.digest.same_stream(&first.digest) {
-                                    return Err(format!(
-                                        "k0 {} {} trial {trial} (t{threads}, scale {scale}) \
-                                         wrote a different edge stream than its first trial",
-                                        gen.name(),
-                                        variant.name()
-                                    ));
-                                }
-                                std::fs::remove_dir_all(&dir)
-                                    .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                            }
-                        }
-                    }
-                    let Some((manifest, dir)) = kept else {
-                        return Err(format!("k0 {} measured no trials", variant.name()));
-                    };
-                    let bytes = dir_bytes(&dir, &manifest)?;
-                    let (mbytes, mb_per_s, gb_per_s) = rates(bytes, seconds);
-                    rows.push(SweepRow {
-                        kernel: "k0",
-                        variant: variant.name(),
-                        gen: gen.name(),
-                        scale,
-                        threads,
-                        edges: manifest.edges,
-                        mbytes,
-                        seconds,
-                        mb_per_s,
-                        gb_per_s,
-                    });
-                    match &k0_ref {
-                        None => k0_ref = Some((manifest, dir)),
-                        Some((reference, _)) => {
-                            if !manifest.digest.same_stream(&reference.digest) {
-                                return Err(format!(
-                                    "k0 {} {} (t{threads}, scale {scale}) wrote a different \
-                                     edge stream than the reference",
-                                    gen.name(),
-                                    variant.name()
-                                ));
-                            }
-                            std::fs::remove_dir_all(&dir)
-                                .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                        }
-                    }
-                }
-            }
-            let Some((k0_manifest, k0_dir)) = k0_ref else {
-                return Err("kernel 0 measured no variants".to_string());
-            };
-            if k1_input.is_none() {
-                k1_input = Some((k0_manifest, k0_dir, gen.name()));
-            } else {
-                std::fs::remove_dir_all(&k0_dir)
-                    .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
-            }
-        }
-        let Some((k0_manifest, k0_dir, k1_gen)) = k1_input else {
-            return Err("kernel 0 measured no samplers".to_string());
-        };
-
-        // --- Kernel 1: read + sort + write, once per scale ---
-        if cfg.k1_max_scale.is_none_or(|cap| scale <= cap) {
-            let in_bytes = k0_manifest.edges.saturating_mul(BYTES_PER_EDGE as u64);
-            let budget_bytes = (in_bytes / cfg.budget_divisor.max(1)).max(BYTES_PER_EDGE as u64);
-            let mut k1_ref: Option<Manifest> = None;
-            for variant in K1Variant::ALL {
-                let thread_counts: &[usize] = if variant.is_parallel() {
-                    &cfg.threads
-                } else {
-                    &[1]
-                };
-                for &threads in thread_counts {
-                    size_pool(threads)?;
-                    // Best-of-N mirrors kernel 0: keep the first trial's
-                    // output, require every repetition to reproduce it.
-                    let mut kept: Option<(Manifest, std::path::PathBuf)> = None;
-                    let mut seconds = f64::INFINITY;
-                    for trial in 0..cfg.trials.max(1) {
-                        let dir = td.join(&format!(
-                            "s{scale}-k1-{}-t{threads}-r{trial}",
-                            variant.name()
-                        ));
-                        let sw = Stopwatch::start();
-                        let manifest = run_k1(&k0_dir, &dir, cfg.num_files, variant, budget_bytes)?;
-                        seconds = seconds.min(sw.elapsed_secs());
-                        match &kept {
-                            None => kept = Some((manifest, dir)),
-                            Some((first, _)) => {
-                                if !manifest.digest.same_stream(&first.digest) {
-                                    return Err(format!(
-                                        "k1 {} trial {trial} (t{threads}, scale {scale}) \
-                                         produced a different sorted stream than its first trial",
-                                        variant.name()
-                                    ));
-                                }
-                                std::fs::remove_dir_all(&dir)
-                                    .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                            }
-                        }
-                    }
-                    let Some((manifest, dir)) = kept else {
-                        return Err(format!("k1 {} measured no trials", variant.name()));
-                    };
-                    let bytes = dir_bytes(&dir, &manifest)?;
-                    if !manifest.sort_state.is_sorted_by_start() {
-                        return Err(format!("k1 {} output is not sorted", variant.name()));
-                    }
-                    // All three paths are stable sorts, so their output
-                    // streams must be byte-identical.
-                    match &k1_ref {
-                        None => k1_ref = Some(manifest.clone()),
-                        Some(reference) => {
-                            if !manifest.digest.same_stream(&reference.digest) {
-                                return Err(format!(
-                                    "k1 {} (t{threads}, scale {scale}) produced a different \
-                                     sorted stream than the reference",
-                                    variant.name()
-                                ));
-                            }
-                        }
-                    }
-                    let (mbytes, mb_per_s, gb_per_s) = rates(bytes, seconds);
-                    rows.push(SweepRow {
-                        kernel: "k1",
-                        variant: variant.name(),
-                        gen: k1_gen,
-                        scale,
-                        threads,
-                        edges: manifest.edges,
-                        mbytes,
-                        seconds,
-                        mb_per_s,
-                        gb_per_s,
-                    });
-                    std::fs::remove_dir_all(&dir)
-                        .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                }
-            }
-        }
-        std::fs::remove_dir_all(&k0_dir)
-            .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
-        // Leave the pool unpinned for whatever runs next in this process.
-        size_pool(0)?;
-    }
-    Ok(rows)
-}
-
-/// Renders the sweep as the canonical `BENCH_k01.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("kernel", row.kernel)
-            .set_str("variant", row.variant)
-            .set_str("gen", row.gen)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("edges", row.edges)
-            .set_f64("mbytes", row.mbytes)
-            .set_f64("seconds", row.seconds)
-            .set_f64("mb_per_s", row.mb_per_s)
-            .set_f64("gb_per_s", row.gb_per_s);
-        results.push_obj(&entry);
-    }
-    let gens = cfg
-        .gens
-        .iter()
-        .map(|g| g.name())
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("budget_divisor", cfg.budget_divisor)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_raw("faithful_max_scale", cap_json(cfg.faithful_max_scale))
-        .set_str("gens", &gens)
-        .set_raw("k1_max_scale", cap_json(cfg.k1_max_scale))
-        .set_u64("num_files", cfg.num_files as u64)
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed)
-        .set_u64("trials", cfg.trials as u64);
-    obj.render()
+/// The swept samplers as the comma-joined `gens` field.
+fn gen_names(cfg: &SweepConfig) -> Json {
+    let names: Vec<_> = cfg.gens.iter().map(|g| g.name()).collect();
+    Json::String(names.join(","))
 }
 
 /// JSON value for an optional scale cap: the number, or `"none"` for an
 /// uncapped sweep.
-fn cap_json(cap: Option<u32>) -> String {
-    match cap {
-        Some(v) => v.to_string(),
-        None => "\"none\"".to_string(),
-    }
+fn cap(cap: Option<u32>) -> Json {
+    cap.map_or(Json::String("none".to_string()), |v| Json::Uint(v.into()))
 }
 
-/// Validates a `BENCH_k01.json` document against the expected schema:
-/// correct version tag, exactly [`TOP_KEYS`] at the top level, at least
-/// one result row, and exactly [`ROW_KEYS`] on every row, failing on
-/// drift in either direction (missing *or* extra keys). On top of the
-/// shape check, every row's `mb_per_s` and `gb_per_s` must agree with its
-/// own `mbytes / seconds` within 1% — a stale or hand-edited rate is
-/// rejected even though the shape is intact.
-pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)?;
-    crate::schema::check_rate_consistency(
-        text,
-        "mbytes",
-        "seconds",
-        &[("mb_per_s", 1.0), ("gb_per_s", 1e-3)],
-        0.01,
-    )
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const NAME: &'static str = "k01";
+    /// v3 added the `gen` axis (R-MAT sampler per kernel-0 row), the
+    /// `gb_per_s` rate column, and the `faithful_max_scale`/`k1_max_scale`
+    /// sweep caps.
+    const TAG: &'static str = "ppbench-k01-v3";
+    const OUT: &'static str = "BENCH_k01.json";
+    const FLAGS: &'static str =
+        "[--scales LO:HI,N,...] [--threads N,N,...] [--edge-factor K] [--seed N] \
+        [--num-files N] [--budget-divisor D] [--trials N] [--gens faithful,linear] \
+        [--faithful-max-scale S] [--k1-max-scale S]";
+    const TOP: &'static [Field<Self>] = &[
+        Field::new("budget_divisor", |c| Json::Uint(c.budget_divisor)),
+        Field::new("edge_factor", |c| Json::Uint(c.edge_factor)),
+        Field::new("faithful_max_scale", |c| cap(c.faithful_max_scale)),
+        Field::new("gens", gen_names),
+        Field::new("k1_max_scale", |c| cap(c.k1_max_scale)),
+        Field::new("num_files", |c| Json::Uint(c.num_files as u64)),
+        Field::new("seed", |c| Json::Uint(c.seed)),
+        Field::new("trials", |c| Json::Uint(c.trials as u64)),
+    ];
+    const COLUMNS: &'static [Field<SweepRow>] = &[
+        Field::new("scale", |r| Json::Uint(r.scale.into())),
+        Field::new("kernel", |r| Json::String(r.kernel.into())),
+        Field::new("gen", |r| Json::String(r.gen.into())),
+        Field::new("variant", |r| Json::String(r.variant.into())),
+        Field::new("threads", |r| Json::Uint(r.threads as u64)),
+        Field::new("edges", |r| Json::Uint(r.edges)),
+        Field::new("mbytes", |r| Json::Number(r.mbytes)),
+        Field::new("seconds", |r| Json::Number(r.seconds)),
+        Field::new("mb_per_s", |r| Json::Number(r.mb_per_s)),
+        Field::new("gb_per_s", |r| Json::Number(r.gb_per_s)),
+    ];
+    const RATES: Option<RateRule> = Some(RateRule {
+        size: "mbytes",
+        seconds: "seconds",
+        rates: &[("mb_per_s", 1.0), ("gb_per_s", 1e-3)],
+    });
+
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Option<String>) -> Option<()> {
+        match flag {
+            "--scales" => self.scales = parse_scale_list(&value()?)?,
+            "--threads" => self.threads = parse_thread_list(&value()?)?,
+            "--edge-factor" => self.edge_factor = value()?.parse().ok()?,
+            "--seed" => self.seed = value()?.parse().ok()?,
+            "--num-files" => self.num_files = parse_positive(&value()?)?,
+            "--budget-divisor" => self.budget_divisor = parse_positive(&value()?)?,
+            "--trials" => self.trials = parse_positive(&value()?)?,
+            "--gens" => {
+                self.gens = value()?
+                    .split(',')
+                    .map(RmatSampler::parse)
+                    .collect::<Option<_>>()?
+            }
+            "--faithful-max-scale" => self.faithful_max_scale = Some(value()?.parse().ok()?),
+            "--k1-max-scale" => self.k1_max_scale = Some(value()?.parse().ok()?),
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// For each scale, kernel 0 runs once per requested sampler (the `gen`
+    /// axis; the faithful sampler is skipped above
+    /// [`SweepConfig::faithful_max_scale`]) through [`sweep_points`] over
+    /// [`K0_VARIANTS`]: the two samplers emit different — equally
+    /// distributed — streams, so the digest reference is per
+    /// `(scale, gen)`. Kernel 1 then runs once per scale over
+    /// [`K1_VARIANTS`] from the first sampler's reference output, unless
+    /// the scale exceeds [`SweepConfig::k1_max_scale`]; all three paths are
+    /// stable sorts, so their output streams must be byte-identical too.
+    /// Row order: scale-major, kernel 0 before kernel 1, then `gens` order,
+    /// then `ALL` order, then thread order as given.
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        if self.gens.is_empty() {
+            return Err("no samplers to sweep (gens is empty)".to_string());
+        }
+        let mut rows = Vec::new();
+        for &scale in &self.scales {
+            let in_scale = |e: String| format!("scale {scale}: {e}");
+            // Kernel 1's input: the first sampler's verified kernel-0 output.
+            let mut k1_input: Option<(Written, &'static str)> = None;
+            for &gen in &self.gens {
+                if gen == RmatSampler::Faithful
+                    && self.faithful_max_scale.is_some_and(|c| scale > c)
+                {
+                    continue;
+                }
+                let pcfg = PipelineConfig::builder()
+                    .scale(scale)
+                    .edge_factor(self.edge_factor)
+                    .seed(self.seed)
+                    .num_files(self.num_files)
+                    .gen(gen)
+                    .build();
+                let swept = sweep_points(
+                    &K0_VARIANTS,
+                    &self.threads,
+                    self.trials,
+                    |variant, _| measure(|dir| run_k0(&pcfg, variant, dir)).map(Some),
+                    same_stream,
+                )
+                .map_err(|e| in_scale(format!("k0 {}: {e}", gen.name())))?;
+                let k0_rows = swept.points.into_iter();
+                rows.extend(k0_rows.map(|p| SweepRow::new("k0", gen.name(), scale, p)));
+                if k1_input.is_none() {
+                    k1_input = swept.reference.map(|written| (written, gen.name()));
+                }
+            }
+            let Some((k0, k1_gen)) = k1_input else {
+                continue;
+            };
+            if self.k1_max_scale.is_some_and(|cap| scale > cap) {
+                continue;
+            }
+            let in_bytes = k0.manifest.edges.saturating_mul(BYTES_PER_EDGE as u64);
+            let budget_bytes = (in_bytes / self.budget_divisor.max(1)).max(BYTES_PER_EDGE as u64);
+            let points = sweep_points(
+                &K1_VARIANTS,
+                &self.threads,
+                self.trials,
+                |variant, _| {
+                    let sort = |dir: &Path| {
+                        run_k1(k0.dir.path(), dir, self.num_files, variant, budget_bytes)
+                    };
+                    measure(sort).map(Some)
+                },
+                |reference, got| {
+                    if !got.manifest.sort_state.is_sorted_by_start() {
+                        return Err("output is not sorted".to_string());
+                    }
+                    same_stream(reference, got)
+                },
+            )
+            .map_err(|e| in_scale(format!("k1: {e}")))?
+            .points;
+            rows.extend(
+                points
+                    .into_iter()
+                    .map(|p| SweepRow::new("k1", k1_gen, scale, p)),
+            );
+        }
+        Ok(rows)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::to_json;
 
     fn tiny_cfg() -> SweepConfig {
         SweepConfig {
@@ -636,32 +483,29 @@ mod tests {
             trials: 2,
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         assert_eq!(rows.len(), TINY_ROWS);
     }
 
     #[test]
     fn sweep_covers_every_variant_and_streams_agree() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         assert_eq!(rows.len(), TINY_ROWS);
-        for v in K0Variant::ALL {
+        for (_, v, _) in K0_VARIANTS {
             for g in RmatSampler::ALL {
                 assert!(
                     rows.iter()
-                        .any(|r| r.kernel == "k0" && r.variant == v.name() && r.gen == g.name()),
-                    "missing k0 {} under {}",
-                    v.name(),
+                        .any(|r| r.kernel == "k0" && r.variant == v && r.gen == g.name()),
+                    "missing k0 {v} under {}",
                     g.name()
                 );
             }
         }
-        for v in K1Variant::ALL {
+        for (_, v, _) in K1_VARIANTS {
             assert!(
-                rows.iter()
-                    .any(|r| r.kernel == "k1" && r.variant == v.name()),
-                "missing k1 {}",
-                v.name()
+                rows.iter().any(|r| r.kernel == "k1" && r.variant == v),
+                "missing k1 {v}"
             );
         }
         for row in &rows {
@@ -673,6 +517,11 @@ mod tests {
                 "{row:?}"
             );
         }
+        // What the sweep emits is what its own schema gate accepts.
+        assert_eq!(
+            crate::check_document(&to_json(&cfg, &rows)),
+            Ok(SweepConfig::TAG)
+        );
         // Kernel 1 sorts the first swept sampler's output and says so.
         assert!(rows
             .iter()
@@ -688,7 +537,7 @@ mod tests {
             k1_max_scale: Some(5),
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         // Scale 5 runs the full matrix; scale 6 is linear-only with no k1.
         assert!(rows
             .iter()
@@ -703,41 +552,14 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"mb_per_s\":", "\"mbps\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-k01-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
-    }
-
-    #[test]
     fn schema_check_rejects_a_doctored_rate() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         let mut fast = rows;
         // Inflate one row's headline rate by 10× without touching the raw
         // measurements it is derived from.
         fast[0].mb_per_s *= 10.0;
-        let json = to_json(&cfg, &fast);
-        let err = check_schema(&json).unwrap_err();
+        let err = crate::check_document(&to_json(&cfg, &fast)).unwrap_err();
         assert!(err.contains("mb_per_s"), "{err}");
     }
 }

@@ -10,46 +10,21 @@
 //! so one scheduler hiccup cannot masquerade as a scaling regression.
 //! Results land in `BENCH_k3.json` as
 //! canonical JSON (sorted keys, shortest-roundtrip floats, rendered by
-//! `ppbench_core::json`), giving later PRs a baseline to beat; the
-//! `--check` mode re-validates that file's schema so CI catches drift in
+//! `ppbench_core::json`), giving later PRs a baseline to beat;
+//! `ppsweep check` re-validates that file's schema so CI catches drift in
 //! either direction.
-//!
-//! Thread counts are always explicit — this crate holds to the
-//! env-dependence rule, so nothing here consults the machine; pass the
-//! counts you want to measure.
 
-use ppbench_core::json::{JsonArray, JsonObject};
 use ppbench_core::kernel3::{self, DanglingInfo, DanglingStrategy, PageRankOptions, PageRankRun};
 use ppbench_core::Stopwatch;
 use ppbench_gen::{EdgeGenerator, GraphSpec, Kronecker};
 use ppbench_sort::SortKey;
 use ppbench_sparse::{ops, spmv, vector, Csr, Csr32};
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-k3-v2";
+use ppbench_core::json::Json;
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "damping",
-    "edge_factor",
-    "iterations",
-    "results",
-    "seed",
-    "trials",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "gflops",
-    "l1_vs_serial",
-    "nnz",
-    "scale",
-    "seconds",
-    "threads",
-    "variant",
-    "vertices",
-];
+use crate::harness::{
+    parse_positive, parse_scale_list, parse_thread_list, sweep_points, Field, Sweep, Variant,
+};
 
 /// The kernel-3 implementations under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,36 +42,15 @@ pub enum K3Variant {
     BalancedFusedU32,
 }
 
-impl K3Variant {
-    /// Every variant, measurement order.
-    pub const ALL: [K3Variant; 5] = [
-        K3Variant::Scatter,
-        K3Variant::Gather,
-        K3Variant::ParGather,
-        K3Variant::BalancedFusedU64,
-        K3Variant::BalancedFusedU32,
-    ];
-
-    /// Stable name used in the JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            K3Variant::Scatter => "scatter",
-            K3Variant::Gather => "gather",
-            K3Variant::ParGather => "par_gather",
-            K3Variant::BalancedFusedU64 => "balanced_fused_u64",
-            K3Variant::BalancedFusedU32 => "balanced_fused_u32",
-        }
-    }
-
-    /// Whether the variant uses the thread pool (serial variants are
-    /// measured once, at `threads = 1`).
-    pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            K3Variant::ParGather | K3Variant::BalancedFusedU64 | K3Variant::BalancedFusedU32
-        )
-    }
-}
+/// Every variant, measurement order: serial scatter first, so it is both a
+/// row and the accuracy reference.
+pub const VARIANTS: [Variant<K3Variant>; 5] = [
+    (K3Variant::Scatter, "scatter", false),
+    (K3Variant::Gather, "gather", false),
+    (K3Variant::ParGather, "par_gather", true),
+    (K3Variant::BalancedFusedU64, "balanced_fused_u64", true),
+    (K3Variant::BalancedFusedU32, "balanced_fused_u32", true),
+];
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -135,7 +89,7 @@ impl Default for SweepConfig {
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
-    /// Variant name (see [`K3Variant::name`]).
+    /// Variant name (see [`VARIANTS`]).
     pub variant: &'static str,
     /// Graph scale.
     pub scale: u32,
@@ -165,15 +119,6 @@ pub fn build_matrix(scale: u32, edge_factor: u64, seed: u64) -> Csr<f64> {
     ops::normalize_rows(&counts)
 }
 
-/// Sizes the global thread pool, surfacing the error as a string (the
-/// shim never fails; real rayon could).
-pub(crate) fn size_pool(threads: usize) -> Result<(), String> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .map_err(|e| format!("failed to size thread pool to {threads}: {e}"))
-}
-
 /// Everything shared by every variant measured at one scale.
 struct ScaleFixture {
     a: Csr<f64>,
@@ -184,12 +129,13 @@ struct ScaleFixture {
     seed: u64,
 }
 
-/// Runs one variant once and returns the result plus wall seconds.
+/// Runs one variant once and returns wall seconds plus the result, or
+/// `None` for the u32 variant on a matrix too wide to narrow.
 fn run_variant(
     fx: &ScaleFixture,
     variant: K3Variant,
     threads: usize,
-) -> Option<(PageRankRun, f64)> {
+) -> Option<(f64, PageRankRun)> {
     let r0 = kernel3::init_ranks(fx.a.rows(), fx.seed);
     let boundaries = spmv::balanced_boundaries(fx.at.row_ptr(), threads);
     let sw = Stopwatch::start();
@@ -231,137 +177,101 @@ fn run_variant(
             )
         }
     };
-    Some((run, sw.elapsed_secs()))
+    Some((sw.elapsed_secs(), run))
 }
 
-/// Runs the full sweep. For each scale the serial variants run once at
-/// one thread; the parallel variants run once per requested thread count
-/// (the global pool is resized between points). Each point is measured
-/// [`SweepConfig::trials`] times and the fastest repetition is kept. Row
-/// order is deterministic: scale-major, then [`K3Variant::ALL`] order,
-/// then thread order as given.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let mut rows = Vec::new();
-    for &scale in &cfg.scales {
-        let a = build_matrix(scale, cfg.edge_factor, cfg.seed);
-        let at = a.transpose();
-        let narrow = Csr32::try_from_wide(&at);
-        let dangling = DanglingInfo::from_mask(&ops::empty_rows(&a));
-        let fx = ScaleFixture {
-            at,
-            narrow,
-            dangling,
-            opts: PageRankOptions {
-                damping: cfg.damping,
-                max_iterations: cfg.iterations,
-                dangling: DanglingStrategy::Omit,
-                tolerance: None,
-            },
-            seed: cfg.seed,
-            a,
-        };
-        let flops = 2.0 * fx.a.nnz() as f64 * f64::from(cfg.iterations);
-        // Serial scatter is both a measurement and the accuracy reference.
-        size_pool(1)?;
-        let Some((reference, _)) = run_variant(&fx, K3Variant::Scatter, 1) else {
-            return Err("scatter reference did not run".to_string());
-        };
-        for variant in K3Variant::ALL {
-            let thread_counts: &[usize] = if variant.is_parallel() {
-                &cfg.threads
-            } else {
-                &[1]
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const NAME: &'static str = "k3";
+    const TAG: &'static str = "ppbench-k3-v2";
+    const OUT: &'static str = "BENCH_k3.json";
+    const FLAGS: &'static str =
+        "[--scales LO:HI,N,...] [--threads N,N,...] [--edge-factor K] [--seed N] \
+        [--iterations N] [--damping C] [--trials N]";
+    const TOP: &'static [Field<Self>] = &[
+        Field::new("damping", |c| Json::Number(c.damping)),
+        Field::new("edge_factor", |c| Json::Uint(c.edge_factor)),
+        Field::new("iterations", |c| Json::Uint(c.iterations.into())),
+        Field::new("seed", |c| Json::Uint(c.seed)),
+        Field::new("trials", |c| Json::Uint(c.trials as u64)),
+    ];
+    const COLUMNS: &'static [Field<SweepRow>] = &[
+        Field::new("scale", |r| Json::Uint(r.scale.into())),
+        Field::new("variant", |r| Json::String(r.variant.into())),
+        Field::new("threads", |r| Json::Uint(r.threads as u64)),
+        Field::new("vertices", |r| Json::Uint(r.vertices)),
+        Field::new("nnz", |r| Json::Uint(r.nnz)),
+        Field::new("seconds", |r| Json::Number(r.seconds)),
+        Field::new("gflops", |r| Json::Number(r.gflops)),
+        Field::new("l1_vs_serial", |r| Json::Number(r.l1_vs_serial)),
+    ];
+
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Option<String>) -> Option<()> {
+        match flag {
+            "--scales" => self.scales = parse_scale_list(&value()?)?,
+            "--threads" => self.threads = parse_thread_list(&value()?)?,
+            "--edge-factor" => self.edge_factor = value()?.parse().ok()?,
+            "--seed" => self.seed = value()?.parse().ok()?,
+            "--iterations" => self.iterations = parse_positive(&value()?)?,
+            "--damping" => self.damping = value()?.parse().ok()?,
+            "--trials" => self.trials = parse_positive(&value()?)?,
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// Per scale, one [`sweep_points`] pass over [`VARIANTS`]; every
+    /// repetition's L1 distance from the scatter reference's ranks is what
+    /// its row reports. Row order: scale-major, then `VARIANTS` order, then
+    /// thread order as given.
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        let mut rows = Vec::new();
+        for &scale in &self.scales {
+            let a = build_matrix(scale, self.edge_factor, self.seed);
+            let at = a.transpose();
+            let fx = ScaleFixture {
+                narrow: Csr32::try_from_wide(&at),
+                at,
+                dangling: DanglingInfo::from_mask(&ops::empty_rows(&a)),
+                opts: PageRankOptions {
+                    damping: self.damping,
+                    max_iterations: self.iterations,
+                    dangling: DanglingStrategy::Omit,
+                    tolerance: None,
+                },
+                seed: self.seed,
+                a,
             };
-            for &threads in thread_counts {
-                size_pool(threads)?;
-                let mut best: Option<(PageRankRun, f64)> = None;
-                for _trial in 0..cfg.trials.max(1) {
-                    let Some(measured) = run_variant(&fx, variant, threads) else {
-                        // u32 variant on a >2^32-column matrix: nothing
-                        // to measure.
-                        break;
-                    };
-                    if best.as_ref().is_none_or(|(_, b)| measured.1 < *b) {
-                        best = Some(measured);
-                    }
-                }
-                let Some((run, seconds)) = best else {
-                    continue;
-                };
-                rows.push(SweepRow {
-                    variant: variant.name(),
-                    scale,
-                    threads,
-                    vertices: fx.a.rows(),
-                    nnz: fx.a.nnz() as u64,
-                    seconds,
-                    gflops: flops / seconds.max(1e-15) / 1e9,
-                    l1_vs_serial: vector::l1_distance(&run.ranks, &reference.ranks),
-                });
-            }
+            let flops = 2.0 * fx.a.nnz() as f64 * f64::from(self.iterations);
+            let points = sweep_points(
+                &VARIANTS,
+                &self.threads,
+                self.trials,
+                |variant, threads| Ok(run_variant(&fx, variant, threads)),
+                |serial: Option<&PageRankRun>, run| {
+                    Ok(serial.map_or(0.0, |s| vector::l1_distance(&run.ranks, &s.ranks)))
+                },
+            )?
+            .points;
+            rows.extend(points.into_iter().map(|p| SweepRow {
+                variant: p.variant,
+                scale,
+                threads: p.threads,
+                vertices: fx.a.rows(),
+                nnz: fx.a.nnz() as u64,
+                seconds: p.seconds,
+                gflops: flops / p.seconds.max(1e-15) / 1e9,
+                l1_vs_serial: p.summary,
+            }));
         }
-        // Leave the pool unpinned for whatever runs next in this process.
-        size_pool(0)?;
-    }
-    Ok(rows)
-}
-
-/// Renders the sweep as the canonical `BENCH_k3.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("variant", row.variant)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("vertices", row.vertices)
-            .set_u64("nnz", row.nnz)
-            .set_f64("seconds", row.seconds)
-            .set_f64("gflops", row.gflops)
-            .set_f64("l1_vs_serial", row.l1_vs_serial);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_f64("damping", cfg.damping)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_u64("iterations", u64::from(cfg.iterations))
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed)
-        .set_u64("trials", cfg.trials as u64);
-    obj.render()
-}
-
-/// Validates a `BENCH_k3.json` document against the expected schema:
-/// correct version tag, exactly [`TOP_KEYS`] at the top level, at least
-/// one result row, and exactly [`ROW_KEYS`] on every row. Fails on drift
-/// in either direction (missing *or* extra keys).
-pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)
-}
-
-/// Parses a comma-separated thread list (`"1,2,4,8"`), requiring every
-/// entry to be a positive integer.
-pub fn parse_thread_list(s: &str) -> Option<Vec<usize>> {
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let n: usize = part.trim().parse().ok()?;
-        if n == 0 {
-            return None;
-        }
-        out.push(n);
-    }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
+        Ok(rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::to_json;
 
     fn tiny_cfg() -> SweepConfig {
         SweepConfig {
@@ -377,16 +287,16 @@ mod tests {
     #[test]
     fn sweep_covers_every_variant_and_agrees_with_serial() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         // 2 serial rows + 3 parallel variants × 2 thread counts.
         assert_eq!(rows.len(), 2 + 3 * 2);
-        for v in K3Variant::ALL {
-            assert!(
-                rows.iter().any(|r| r.variant == v.name()),
-                "missing {}",
-                v.name()
-            );
+        for (_, name, _) in VARIANTS {
+            assert!(rows.iter().any(|r| r.variant == name), "missing {name}");
         }
+        assert_eq!(
+            crate::check_document(&to_json(&cfg, &rows)),
+            Ok(SweepConfig::TAG)
+        );
         for row in &rows {
             assert!(row.gflops > 0.0, "{row:?}");
             assert!(
@@ -399,50 +309,15 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
     fn best_of_n_trials_still_yields_one_row_per_point() {
         let cfg = SweepConfig {
             trials: 3,
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         assert_eq!(rows.len(), 2 + 3 * 2);
         for row in &rows {
             assert!(row.l1_vs_serial < 1e-12, "{row:?}");
         }
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"gflops\":", "\"gfl0ps\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-k3-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
-    }
-
-    #[test]
-    fn thread_list_parses() {
-        assert_eq!(parse_thread_list("1,2,4,8"), Some(vec![1, 2, 4, 8]));
-        assert_eq!(parse_thread_list("4"), Some(vec![4]));
-        assert_eq!(parse_thread_list("0"), None);
-        assert_eq!(parse_thread_list(""), None);
-        assert_eq!(parse_thread_list("two"), None);
     }
 }

@@ -10,87 +10,57 @@
 //!
 //! plus Criterion microbenches (`cargo bench`) for each kernel and the
 //! ablations DESIGN.md calls out (sort algorithm, SpMV form, generator,
-//! file count), the kernel-3 variant sweep (`k3bench` / [`k3`]) that
-//! produces `BENCH_k3.json`, the K0→K1 front-end sweep (`k01bench` /
-//! [`k01`]) that produces `BENCH_k01.json`, the analytics-workload
-//! sweep (`algobench` / [`algo`]) that produces `BENCH_algo.json`, the
-//! staged-vs-fused end-to-end pipeline sweep (`pipebench` / [`pipe`])
-//! that produces `BENCH_pipeline.json`, and the serving-layer
-//! latency/saturation sweep (`servebench` / [`serve`]) that produces
-//! `BENCH_serve.json`.
+//! file count), and the five committed-baseline sweeps, all driven by one
+//! binary (`ppsweep <kind>`, `ppsweep check FILE...`) over one [`harness`]:
+//!
+//! | `ppsweep` kind | Module | Baseline file | Axis |
+//! |---|---|---|---|
+//! | `k01` | [`k01`] | `BENCH_k01.json` | K0 write strategy × sampler, K1 sort path |
+//! | `k3` | [`k3`] | `BENCH_k3.json` | kernel-3 SpMV variant |
+//! | `pipeline` | [`pipe`] | `BENCH_pipeline.json` | staged vs fused K1→K2 |
+//! | `algo` | [`algo`] | `BENCH_algo.json` | analytics workload, serial vs optimized |
+//! | `serve` | [`serve`] | `BENCH_serve.json` | serving-layer latency/saturation |
+//!
+//! Each module holds only what is specific to its sweep — the measured
+//! bodies, its flags, and one typed field list from which the JSON, the
+//! table and the schema gate are all derived.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod algo;
+pub mod harness;
 pub mod k01;
 pub mod k3;
 pub mod pipe;
 pub mod plot;
-mod schema;
 pub mod serve;
 pub mod sloc;
 pub mod sweep;
 
-/// Parses a `lo:hi` (inclusive) scale-range CLI argument.
-pub fn parse_scale_range(s: &str) -> Option<std::ops::RangeInclusive<u32>> {
-    let (lo, hi) = s.split_once(':')?;
-    let lo: u32 = lo.parse().ok()?;
-    let hi: u32 = hi.parse().ok()?;
-    if lo > hi || hi > 40 {
-        return None;
-    }
-    Some(lo..=hi)
-}
+use harness::Sweep;
+use ppbench_core::json::Json;
 
-/// Parses a scale-list CLI argument: comma-separated entries, each either
-/// a single scale (`22`) or an inclusive `lo:hi` range (`16:20`), e.g.
-/// `16:18,22,24`. Sparse lists let a sweep mix a dense comparison band
-/// with isolated stress points.
-pub fn parse_scale_list(s: &str) -> Option<Vec<u32>> {
-    let mut scales = Vec::new();
-    for part in s.split(',') {
-        if part.contains(':') {
-            scales.extend(parse_scale_range(part)?);
-        } else {
-            let v: u32 = part.parse().ok()?;
-            if v > 40 {
-                return None;
-            }
-            scales.push(v);
-        }
-    }
-    if scales.is_empty() {
-        return None;
-    }
-    Some(scales)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_range_parses() {
-        assert_eq!(parse_scale_range("16:22"), Some(16..=22));
-        assert_eq!(parse_scale_range("5:5"), Some(5..=5));
-        assert_eq!(parse_scale_range("9:4"), None);
-        assert_eq!(parse_scale_range("junk"), None);
-        assert_eq!(parse_scale_range("1:99"), None);
-    }
-
-    #[test]
-    fn scale_list_parses_singles_ranges_and_mixes() {
-        assert_eq!(parse_scale_list("22"), Some(vec![22]));
-        assert_eq!(parse_scale_list("16:18"), Some(vec![16, 17, 18]));
-        assert_eq!(
-            parse_scale_list("16:18,22,24"),
-            Some(vec![16, 17, 18, 22, 24])
-        );
-        assert_eq!(parse_scale_list("junk"), None);
-        assert_eq!(parse_scale_list("5,99"), None);
-        assert_eq!(parse_scale_list("9:4"), None);
-        assert_eq!(parse_scale_list(""), None);
-    }
+/// Validates a `BENCH_*.json` document against the schema gate of the
+/// sweep its `"benchmark"` tag names, returning that tag.
+pub fn check_document(text: &str) -> Result<&'static str, String> {
+    type Gate = fn(&Json) -> Result<(), String>;
+    let gates: [(&'static str, Gate); 5] = [
+        (k01::SweepConfig::TAG, harness::check::<k01::SweepConfig>),
+        (k3::SweepConfig::TAG, harness::check::<k3::SweepConfig>),
+        (pipe::SweepConfig::TAG, harness::check::<pipe::SweepConfig>),
+        (algo::SweepConfig::TAG, harness::check::<algo::SweepConfig>),
+        (
+            serve::SweepConfig::TAG,
+            harness::check::<serve::SweepConfig>,
+        ),
+    ];
+    let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let tag = doc.get("benchmark").and_then(Json::as_str);
+    let tag = tag.ok_or("no \"benchmark\" version tag")?;
+    let known = gates.iter().find(|(t, _)| *t == tag);
+    let (tag, gate) = known.ok_or_else(|| format!("unknown benchmark tag {tag:?}"))?;
+    gate(&doc)?;
+    Ok(tag)
 }

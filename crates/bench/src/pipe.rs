@@ -17,14 +17,13 @@
 //! included. A mismatch anywhere aborts the sweep.
 //!
 //! Results land in `BENCH_pipeline.json` as canonical JSON (sorted keys,
-//! shortest-roundtrip floats, rendered by `ppbench_core::json`); the
-//! `--check` mode re-validates that file's schema so CI catches drift in
+//! shortest-roundtrip floats, rendered by `ppbench_core::json`);
+//! `ppsweep check` re-validates that file's schema so CI catches drift in
 //! either direction.
 
 use std::path::Path;
 
 use ppbench_core::backend::{Backend, OptimizedBackend};
-use ppbench_core::json::{JsonArray, JsonObject};
 use ppbench_core::kernel2::FilterStats;
 use ppbench_core::{PipelineConfig, Stopwatch};
 use ppbench_io::checksum::EdgeDigest;
@@ -32,60 +31,11 @@ use ppbench_io::tempdir::TempDir;
 use ppbench_sort::SortKey;
 use ppbench_sparse::Csr;
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-pipeline-v1";
+use ppbench_core::json::Json;
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "edge_factor",
-    "num_files",
-    "results",
-    "seed",
-    "trials",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "edges",
-    "edges_per_s",
-    "k1_seconds",
-    "k2_seconds",
-    "mode",
-    "scale",
-    "seconds",
-    "threads",
-];
-
-/// The two K1→K2 data paths under measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipeMode {
-    /// The legacy path: kernel 1 sorts to a file set on disk, kernel 2
-    /// re-reads it and builds the matrix — the serial reference.
-    Staged,
-    /// The fused path: CSR built straight from the merge stream, one
-    /// worker per contiguous vertex range.
-    Fused,
-}
-
-impl PipeMode {
-    /// Every mode, measurement order (the first is the reference).
-    pub const ALL: [PipeMode; 2] = [PipeMode::Staged, PipeMode::Fused];
-
-    /// Stable name used in the JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            PipeMode::Staged => "staged",
-            PipeMode::Fused => "fused",
-        }
-    }
-
-    /// Whether the mode uses the thread pool (the staged path is the
-    /// serial baseline, measured once at `threads = 1`).
-    pub fn is_parallel(self) -> bool {
-        matches!(self, PipeMode::Fused)
-    }
-}
+use crate::harness::{
+    parse_positive, parse_scale_list, parse_thread_list, sweep_points, Field, Sweep, Variant,
+};
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -121,7 +71,7 @@ impl Default for SweepConfig {
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
-    /// Mode name (see [`PipeMode::name`]).
+    /// Mode name (see [`MODES`]).
     pub mode: &'static str,
     /// Graph scale.
     pub scale: u32,
@@ -139,7 +89,9 @@ pub struct SweepRow {
     pub edges_per_s: f64,
 }
 
-/// One measured repetition, before the identity gate.
+/// One measured repetition, before the identity gate. The first one (the
+/// staged run at one thread) is what every later repetition must
+/// reproduce.
 struct Measured {
     k1_seconds: f64,
     k2_seconds: f64,
@@ -148,17 +100,9 @@ struct Measured {
     matrix: Csr<f64>,
 }
 
-/// What every later repetition must reproduce (the staged run at one
-/// thread, the first point measured).
-struct Reference {
-    digest: EdgeDigest,
-    stats: FilterStats,
-    matrix: Csr<f64>,
-}
-
 /// Runs the staged path once: kernel 1 to a scratch file set, kernel 2
-/// re-reading it. The intermediate file set is deleted before returning
-/// so repeated trials cannot fill the disk.
+/// re-reading it. The intermediate file set lives under `work`, which the
+/// caller deletes after every repetition so trials cannot fill the disk.
 fn run_staged(cfg: &PipelineConfig, k0_dir: &Path, work: &Path) -> Result<Measured, String> {
     let backend = OptimizedBackend;
     let k1_dir = work.join("k1");
@@ -172,8 +116,6 @@ fn run_staged(cfg: &PipelineConfig, k0_dir: &Path, work: &Path) -> Result<Measur
         .kernel2(cfg, &k1_dir)
         .map_err(|e| format!("staged kernel 2: {e}"))?;
     let k2_seconds = sw.elapsed_secs();
-    std::fs::remove_dir_all(&k1_dir)
-        .map_err(|e| format!("cannot clean {}: {e}", k1_dir.display()))?;
     Ok(Measured {
         k1_seconds,
         k2_seconds,
@@ -199,145 +141,128 @@ fn run_fused(cfg: &PipelineConfig, k0_dir: &Path, work: &Path) -> Result<Measure
     })
 }
 
-/// Runs the full sweep. For each scale, kernel 0 writes one input file
-/// set (unmeasured), the staged baseline runs at one thread, and the
-/// fused path runs at every requested thread count; each point keeps the
-/// fastest of [`SweepConfig::trials`] repetitions. Every repetition —
-/// not just the kept one — must match the staged reference's matrix,
-/// filter stats, and sorted-stream digest exactly. Row order is
-/// deterministic: scale-major, staged before fused, then thread order as
-/// given.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let td = TempDir::new("pipebench").map_err(|e| format!("cannot create scratch dir: {e}"))?;
-    let mut rows = Vec::new();
-    for &scale in &cfg.scales {
-        // `StartEnd` so the staged sorted stream is byte-comparable to
-        // the fused path's concatenated per-bucket digests.
-        let pcfg = PipelineConfig::builder()
-            .scale(scale)
-            .edge_factor(cfg.edge_factor)
-            .seed(cfg.seed)
-            .num_files(cfg.num_files)
-            .sort_key(SortKey::StartEnd)
-            .build();
-        let k0_dir = td.join(&format!("s{scale}-k0"));
-        let k0_manifest = OptimizedBackend
-            .kernel0(&pcfg, &k0_dir)
-            .map_err(|e| format!("kernel 0: {e}"))?;
+/// Runs one data path once: `(config, kernel-0 dir, scratch dir)`.
+type RunMode = fn(&PipelineConfig, &Path, &Path) -> Result<Measured, String>;
 
-        let mut reference: Option<Reference> = None;
-        for mode in PipeMode::ALL {
-            let thread_counts: &[usize] = if mode.is_parallel() {
-                &cfg.threads
-            } else {
-                &[1]
-            };
-            for &threads in thread_counts {
-                crate::k3::size_pool(threads)?;
-                let mut best: Option<(f64, f64)> = None;
-                for trial in 0..cfg.trials.max(1) {
-                    let work = td.join(&format!("s{scale}-{}-t{threads}-r{trial}", mode.name()));
-                    let measured = match mode {
-                        PipeMode::Staged => run_staged(&pcfg, &k0_dir, &work),
-                        PipeMode::Fused => run_fused(&pcfg, &k0_dir, &work),
-                    }?;
-                    match &reference {
-                        None => {
-                            reference = Some(Reference {
-                                digest: measured.digest,
-                                stats: measured.stats,
-                                matrix: measured.matrix,
-                            });
-                        }
-                        Some(r) => {
-                            let point = format!(
-                                "{} (t{threads}, trial {trial}, scale {scale})",
-                                mode.name()
-                            );
-                            if !measured.digest.same_stream(&r.digest) {
-                                return Err(format!(
-                                    "{point}: sorted-stream digest differs from the \
-                                     staged reference"
-                                ));
-                            }
-                            if measured.stats != r.stats {
-                                return Err(format!(
-                                    "{point}: filter stats differ from the staged reference"
-                                ));
-                            }
-                            if measured.matrix != r.matrix {
-                                return Err(format!(
-                                    "{point}: matrix differs from the staged reference"
-                                ));
-                            }
-                        }
-                    }
-                    let total = measured.k1_seconds + measured.k2_seconds;
-                    if best.is_none_or(|(k1, k2)| total < k1 + k2) {
-                        best = Some((measured.k1_seconds, measured.k2_seconds));
-                    }
-                }
-                let Some((k1_seconds, k2_seconds)) = best else {
-                    return Err(format!("{} measured no trials", mode.name()));
-                };
-                let seconds = k1_seconds + k2_seconds;
-                rows.push(SweepRow {
-                    mode: mode.name(),
-                    scale,
-                    threads,
-                    edges: k0_manifest.edges,
-                    k1_seconds,
-                    k2_seconds,
-                    seconds,
-                    edges_per_s: k0_manifest.edges as f64 / seconds.max(1e-15),
-                });
-            }
+/// The two K1→K2 data paths under measurement: the legacy staged path
+/// (kernel 1 sorts to a file set on disk, kernel 2 re-reads it) is the
+/// serial reference, measured once at one thread; the fused path (CSR
+/// built straight from the merge stream, one worker per contiguous vertex
+/// range) is swept over the thread counts.
+const MODES: [Variant<RunMode>; 2] = [(run_staged, "staged", false), (run_fused, "fused", true)];
+
+/// The identity gate: matrix, filter stats and sorted-stream digest (chain
+/// component included) must equal the staged reference's bit for bit.
+/// Condenses the repetition to its `(k1_seconds, k2_seconds)` split.
+fn same_result(reference: Option<&Measured>, got: &Measured) -> Result<(f64, f64), String> {
+    if let Some(r) = reference {
+        if !got.digest.same_stream(&r.digest) {
+            return Err("sorted-stream digest differs from the staged reference".to_string());
         }
-        std::fs::remove_dir_all(&k0_dir)
-            .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
-        // Leave the pool unpinned for whatever runs next in this process.
-        crate::k3::size_pool(0)?;
+        if got.stats != r.stats {
+            return Err("filter stats differ from the staged reference".to_string());
+        }
+        if got.matrix != r.matrix {
+            return Err("matrix differs from the staged reference".to_string());
+        }
     }
-    Ok(rows)
+    Ok((got.k1_seconds, got.k2_seconds))
 }
 
-/// Renders the sweep as the canonical `BENCH_pipeline.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("mode", row.mode)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("edges", row.edges)
-            .set_f64("k1_seconds", row.k1_seconds)
-            .set_f64("k2_seconds", row.k2_seconds)
-            .set_f64("seconds", row.seconds)
-            .set_f64("edges_per_s", row.edges_per_s);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_u64("num_files", cfg.num_files as u64)
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed)
-        .set_u64("trials", cfg.trials as u64);
-    obj.render()
-}
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const NAME: &'static str = "pipeline";
+    const TAG: &'static str = "ppbench-pipeline-v1";
+    const OUT: &'static str = "BENCH_pipeline.json";
+    const FLAGS: &'static str =
+        "[--scales LO:HI,N,...] [--threads N,N,...] [--edge-factor K] [--seed N] \
+        [--num-files N] [--trials N]";
+    const TOP: &'static [Field<Self>] = &[
+        Field::new("edge_factor", |c| Json::Uint(c.edge_factor)),
+        Field::new("num_files", |c| Json::Uint(c.num_files as u64)),
+        Field::new("seed", |c| Json::Uint(c.seed)),
+        Field::new("trials", |c| Json::Uint(c.trials as u64)),
+    ];
+    const COLUMNS: &'static [Field<SweepRow>] = &[
+        Field::new("scale", |r| Json::Uint(r.scale.into())),
+        Field::new("mode", |r| Json::String(r.mode.into())),
+        Field::new("threads", |r| Json::Uint(r.threads as u64)),
+        Field::new("edges", |r| Json::Uint(r.edges)),
+        Field::new("k1_seconds", |r| Json::Number(r.k1_seconds)),
+        Field::new("k2_seconds", |r| Json::Number(r.k2_seconds)),
+        Field::new("seconds", |r| Json::Number(r.seconds)),
+        Field::new("edges_per_s", |r| Json::Number(r.edges_per_s)),
+    ];
 
-/// Validates a `BENCH_pipeline.json` document against the expected
-/// schema: correct version tag, exactly [`TOP_KEYS`] at the top level,
-/// at least one result row, and exactly [`ROW_KEYS`] on every row. Fails
-/// on drift in either direction (missing *or* extra keys).
-pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Option<String>) -> Option<()> {
+        match flag {
+            "--scales" => self.scales = parse_scale_list(&value()?)?,
+            "--threads" => self.threads = parse_thread_list(&value()?)?,
+            "--edge-factor" => self.edge_factor = value()?.parse().ok()?,
+            "--seed" => self.seed = value()?.parse().ok()?,
+            "--num-files" => self.num_files = parse_positive(&value()?)?,
+            "--trials" => self.trials = parse_positive(&value()?)?,
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// For each scale, kernel 0 writes one input file set (unmeasured),
+    /// then one [`sweep_points`] pass runs the staged baseline at one
+    /// thread and the fused path at every requested thread count. Every
+    /// repetition — not just the kept one — goes through [`same_result`].
+    /// Row order: scale-major, staged before fused, then thread order as
+    /// given.
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        let scratch = |e| format!("cannot create scratch dir: {e}");
+        let mut rows = Vec::new();
+        for &scale in &self.scales {
+            // `StartEnd` so the staged sorted stream is byte-comparable to
+            // the fused path's concatenated per-bucket digests.
+            let pcfg = PipelineConfig::builder()
+                .scale(scale)
+                .edge_factor(self.edge_factor)
+                .seed(self.seed)
+                .num_files(self.num_files)
+                .sort_key(SortKey::StartEnd)
+                .build();
+            let k0_dir = TempDir::new("ppsweep-pipe-k0").map_err(scratch)?;
+            let edges = OptimizedBackend
+                .kernel0(&pcfg, k0_dir.path())
+                .map_err(|e| format!("kernel 0: {e}"))?
+                .edges;
+            let points = sweep_points(
+                &MODES,
+                &self.threads,
+                self.trials,
+                |run_mode, _| {
+                    let work = TempDir::new("ppsweep-pipe").map_err(scratch)?;
+                    let measured = run_mode(&pcfg, k0_dir.path(), work.path())?;
+                    Ok(Some((measured.k1_seconds + measured.k2_seconds, measured)))
+                },
+                same_result,
+            )
+            .map_err(|e| format!("scale {scale}: {e}"))?
+            .points;
+            rows.extend(points.into_iter().map(|p| SweepRow {
+                mode: p.variant,
+                scale,
+                threads: p.threads,
+                edges,
+                k1_seconds: p.summary.0,
+                k2_seconds: p.summary.1,
+                seconds: p.seconds,
+                edges_per_s: edges as f64 / p.seconds.max(1e-15),
+            }));
+        }
+        Ok(rows)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::to_json;
 
     fn tiny_cfg() -> SweepConfig {
         SweepConfig {
@@ -353,16 +278,16 @@ mod tests {
     #[test]
     fn sweep_covers_both_modes_and_stays_bit_identical() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         // Staged once + fused × 2 thread counts.
         assert_eq!(rows.len(), 1 + 2);
-        for mode in PipeMode::ALL {
-            assert!(
-                rows.iter().any(|r| r.mode == mode.name()),
-                "missing {}",
-                mode.name()
-            );
+        for (_, name, _) in MODES {
+            assert!(rows.iter().any(|r| r.mode == name), "missing {name}");
         }
+        assert_eq!(
+            crate::check_document(&to_json(&cfg, &rows)),
+            Ok(SweepConfig::TAG)
+        );
         for row in &rows {
             assert!(row.edges > 0, "{row:?}");
             assert!(row.edges_per_s > 0.0, "{row:?}");
@@ -376,33 +301,7 @@ mod tests {
             trials: 2,
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         assert_eq!(rows.len(), 1 + 2);
-    }
-
-    #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"edges_per_s\":", "\"eps\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-pipeline-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
     }
 }

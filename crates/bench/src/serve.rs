@@ -22,7 +22,7 @@
 //! driver and server each get their own file-descriptor budget — which
 //! is what the 10k-connection burst row needs on a 20k-fd rlimit.
 //!
-//! Results land in `BENCH_serve.json` as canonical JSON; `--check`
+//! Results land in `BENCH_serve.json` as canonical JSON; `ppsweep check`
 //! re-validates the committed file's schema and cross-checks every row's
 //! `achieved_rps` against its own `requests`/`seconds` so stale or
 //! hand-edited rates cannot survive CI.
@@ -32,35 +32,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ppbench_core::json::{JsonArray, JsonObject};
+use ppbench_core::json::Json;
 use ppbench_serve::loadgen::{run_load, LoadConfig, LoadReport};
-use ppbench_serve::{http_request, HttpServer, Json, Service, ServiceConfig};
+use ppbench_serve::{http_request, HttpServer, Service, ServiceConfig};
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-serve-v1";
-
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "edge_factor",
-    "results",
-    "scale",
-    "seed",
-    "workers",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "achieved_rps",
-    "errors",
-    "max_concurrent",
-    "mode",
-    "offered_rps",
-    "p50_ms",
-    "p99_ms",
-    "requests",
-    "seconds",
-];
+use crate::harness::{parse_positive, parse_rate_list, parse_thread_list, Field, RateRule, Sweep};
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -316,115 +292,104 @@ fn to_row(mode: &'static str, offered_rps: f64, report: &LoadReport) -> Result<S
     })
 }
 
-/// Runs the full sweep: start a server (in-process or spawned), prewarm
-/// the config, measure every open-loop rate, then every burst size, and
-/// stop the server gracefully. Row order is deterministic: open rows in
-/// rate order, then burst rows in size order.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let server = if cfg.spawn {
-        start_spawned(cfg)?
-    } else {
-        start_in_process(cfg)?
-    };
-    let body = format!(
-        "{{\"scale\":{},\"edge_factor\":{},\"seed\":{}}}",
-        cfg.scale, cfg.edge_factor, cfg.seed
-    );
-    prewarm(server.addr(), &body)?;
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const NAME: &'static str = "serve";
+    const TAG: &'static str = "ppbench-serve-v1";
+    const OUT: &'static str = "BENCH_serve.json";
+    const FLAGS: &'static str =
+        "[--scale N] [--edge-factor K] [--seed N] [--workers N] [--rates R,R,...] \
+        [--requests N] [--bursts N,N,...] [--spawn]";
+    const TOP: &'static [Field<Self>] = &[
+        Field::new("edge_factor", |c| Json::Uint(c.edge_factor)),
+        Field::new("scale", |c| Json::Uint(c.scale.into())),
+        Field::new("seed", |c| Json::Uint(c.seed)),
+        Field::new("workers", |c| Json::Uint(c.workers as u64)),
+    ];
+    const COLUMNS: &'static [Field<SweepRow>] = &[
+        Field::new("mode", |r| Json::String(r.mode.into())),
+        Field::new("offered_rps", |r| Json::Number(r.offered_rps)),
+        Field::new("requests", |r| Json::Uint(r.requests)),
+        Field::new("errors", |r| Json::Uint(r.errors)),
+        Field::new("seconds", |r| Json::Number(r.seconds)),
+        Field::new("achieved_rps", |r| Json::Number(r.achieved_rps)),
+        Field::new("p50_ms", |r| Json::Number(r.p50_ms)),
+        Field::new("p99_ms", |r| Json::Number(r.p99_ms)),
+        Field::new("max_concurrent", |r| Json::Uint(r.max_concurrent)),
+    ];
+    const RATES: Option<RateRule> = Some(RateRule {
+        size: "requests",
+        seconds: "seconds",
+        rates: &[("achieved_rps", 1.0)],
+    });
 
-    let load = |requests: usize, rate: f64| -> Result<LoadReport, String> {
-        run_load(&LoadConfig {
-            addr: server.addr().to_string(),
-            method: "POST".to_string(),
-            path: "/runs".to_string(),
-            body: body.clone(),
-            requests,
-            rate,
-            timeout: Duration::from_secs(30),
-            max_open: 16 * 1024,
-        })
-        .map_err(|e| format!("load run failed: {e}"))
-    };
-
-    let mut rows = Vec::new();
-    for &rate in &cfg.rates {
-        if rate <= 0.0 {
-            return Err(format!("open-loop rate must be positive, got {rate}"));
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Option<String>) -> Option<()> {
+        match flag {
+            "--scale" => self.scale = value()?.parse().ok()?,
+            "--edge-factor" => self.edge_factor = value()?.parse().ok()?,
+            "--seed" => self.seed = value()?.parse().ok()?,
+            "--workers" => self.workers = parse_positive(&value()?)?,
+            "--rates" => self.rates = parse_rate_list(&value()?)?,
+            "--requests" => self.requests = parse_positive(&value()?)?,
+            "--bursts" => self.bursts = parse_thread_list(&value()?)?,
+            "--spawn" => self.spawn = true,
+            _ => return None,
         }
-        rows.push(to_row("open", rate, &load(cfg.requests, rate)?)?);
+        Some(())
     }
-    for &burst in &cfg.bursts {
-        if burst == 0 {
-            return Err("burst size must be positive".to_string());
+
+    /// Starts a server (in-process or spawned), prewarms the config,
+    /// measures every open-loop rate, then every burst size, and stops the
+    /// server gracefully. Row order: open rows in rate order, then burst
+    /// rows in size order.
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        let server = if self.spawn {
+            start_spawned(self)?
+        } else {
+            start_in_process(self)?
+        };
+        let body = format!(
+            "{{\"scale\":{},\"edge_factor\":{},\"seed\":{}}}",
+            self.scale, self.edge_factor, self.seed
+        );
+        prewarm(server.addr(), &body)?;
+
+        let load = |requests: usize, rate: f64| -> Result<LoadReport, String> {
+            run_load(&LoadConfig {
+                addr: server.addr().to_string(),
+                method: "POST".to_string(),
+                path: "/runs".to_string(),
+                body: body.clone(),
+                requests,
+                rate,
+                timeout: Duration::from_secs(30),
+                max_open: 16 * 1024,
+            })
+            .map_err(|e| format!("load run failed: {e}"))
+        };
+
+        let mut rows = Vec::new();
+        for &rate in &self.rates {
+            if rate <= 0.0 {
+                return Err(format!("open-loop rate must be positive, got {rate}"));
+            }
+            rows.push(to_row("open", rate, &load(self.requests, rate)?)?);
         }
-        rows.push(to_row("burst", 0.0, &load(burst, 0.0)?)?);
-    }
-    server.stop()?;
-    Ok(rows)
-}
-
-/// Renders the sweep as the canonical `BENCH_serve.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("mode", row.mode)
-            .set_f64("offered_rps", row.offered_rps)
-            .set_u64("requests", row.requests)
-            .set_u64("errors", row.errors)
-            .set_f64("seconds", row.seconds)
-            .set_f64("achieved_rps", row.achieved_rps)
-            .set_f64("p50_ms", row.p50_ms)
-            .set_f64("p99_ms", row.p99_ms)
-            .set_u64("max_concurrent", row.max_concurrent);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_raw("results", results.render())
-        .set_u64("scale", u64::from(cfg.scale))
-        .set_u64("seed", cfg.seed)
-        .set_u64("workers", cfg.workers as u64);
-    obj.render()
-}
-
-/// Validates a `BENCH_serve.json` document: correct version tag, exactly
-/// [`TOP_KEYS`] at the top level, at least one result row with exactly
-/// [`ROW_KEYS`], and every row's `achieved_rps` consistent with its own
-/// `requests / seconds` (stale or hand-edited rates are rejected).
-pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)?;
-    crate::schema::check_rate_consistency(
-        text,
-        "requests",
-        "seconds",
-        &[("achieved_rps", 1.0)],
-        0.01,
-    )
-}
-
-/// Parses a comma-separated list of positive rates, e.g. `500,1000,2000`.
-pub fn parse_rate_list(s: &str) -> Option<Vec<f64>> {
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let r: f64 = part.trim().parse().ok()?;
-        if !r.is_finite() || r <= 0.0 {
-            return None;
+        for &burst in &self.bursts {
+            if burst == 0 {
+                return Err("burst size must be positive".to_string());
+            }
+            rows.push(to_row("burst", 0.0, &load(burst, 0.0)?)?);
         }
-        out.push(r);
-    }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
+        server.stop()?;
+        Ok(rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::to_json;
 
     fn tiny_cfg() -> SweepConfig {
         SweepConfig {
@@ -442,7 +407,7 @@ mod tests {
     #[test]
     fn sweep_measures_every_point_and_passes_its_own_schema_check() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run().unwrap();
         assert_eq!(rows.len(), 2, "one open row + one burst row");
         assert_eq!(rows[0].mode, "open");
         assert_eq!(rows[0].offered_rps, 400.0);
@@ -458,52 +423,9 @@ mod tests {
             "burst must hold every connection open at once: {:?}",
             rows[1]
         );
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_and_inconsistent_rates() {
-        let cfg = tiny_cfg();
-        let row = SweepRow {
-            mode: "open",
-            offered_rps: 400.0,
-            requests: 100,
-            errors: 0,
-            seconds: 0.25,
-            achieved_rps: 400.0,
-            p50_ms: 1.0,
-            p99_ms: 2.0,
-            max_concurrent: 10,
-        };
-        let json = to_json(&cfg, std::slice::from_ref(&row));
-        check_schema(&json).unwrap();
-        // Missing row key.
-        let missing = json.replacen("\"p99_ms\":", "\"p99\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-serve-v9");
-        assert!(check_schema(&wrong).is_err());
-        // A rate that disagrees with requests/seconds.
-        let drifted = json.replace("\"achieved_rps\":400", "\"achieved_rps\":500");
-        assert!(check_schema(&drifted).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
-    }
-
-    #[test]
-    fn rate_list_parses_strictly() {
-        assert_eq!(parse_rate_list("500"), Some(vec![500.0]));
         assert_eq!(
-            parse_rate_list("500,1000,2500.5"),
-            Some(vec![500.0, 1000.0, 2500.5])
+            crate::check_document(&to_json(&cfg, &rows)),
+            Ok(SweepConfig::TAG)
         );
-        assert_eq!(parse_rate_list("0"), None);
-        assert_eq!(parse_rate_list("-5"), None);
-        assert_eq!(parse_rate_list("junk"), None);
-        assert_eq!(parse_rate_list(""), None);
     }
 }

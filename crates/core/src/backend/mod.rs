@@ -3,7 +3,7 @@
 //!
 //! The paper implements the identical mathematical kernels in C++, Python,
 //! Python+Pandas, Matlab, Octave and Julia and compares them on one
-//! machine. This workspace reproduces that axis as four [`Backend`]
+//! machine. This workspace reproduces that axis as five [`Backend`]
 //! implementations:
 //!
 //! | Backend | Stands in for | Style |
@@ -14,8 +14,8 @@
 //! | [`ParallelBackend`] | the paper's future work | rayon generation/sort and gather-form SpMV |
 //! | [`GraphBlasBackend`] | the paper's §V GraphBLAS reference wish | matrix build/extract, semiring vxm, select |
 //!
-//! All four must produce the same ranks (bit-identical for the serial
-//! three, within floating-point reassociation for the parallel one) — the
+//! All five must produce the same ranks (bit-identical for the serial
+//! four, within floating-point reassociation for the parallel one) — the
 //! cross-backend integration tests enforce it.
 
 mod dataframe;

@@ -22,7 +22,7 @@ use std::time::SystemTime;
 use ppbench_core::RunRecord;
 
 use crate::job::RunSummary;
-use crate::json::Json;
+use crate::Json;
 
 /// LRU map from canonical config hash to run summary, bounded by an
 /// approximate byte budget rather than an entry count (rank vectors grow

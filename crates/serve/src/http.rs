@@ -20,11 +20,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ppbench_core::json::escape_string;
+
 use crate::job::{Job, JobState};
-use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::request::config_from_json;
 use crate::service::{CancelOutcome, Service, SubmitError};
+use crate::Json;
 
 /// Maximum bytes of request line + headers.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -566,10 +568,7 @@ impl Response {
     }
 
     fn error(status: u16, message: &str) -> Self {
-        Self::json(
-            status,
-            format!("{{\"error\":\"{}\"}}", json::escape(message)),
-        )
+        Self::json(status, format!("{{\"error\":{}}}", escape_string(message)))
     }
 
     fn render(&self) -> String {
@@ -767,7 +766,7 @@ fn job_json(job: &Job) -> String {
         ));
     }
     if let Some(error) = &job.error {
-        out.push_str(&format!(",\"error\":\"{}\"", json::escape(error)));
+        out.push_str(&format!(",\"error\":{}", escape_string(error)));
     }
     out.push('}');
     out

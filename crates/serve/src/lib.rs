@@ -39,7 +39,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod request;
@@ -49,8 +48,8 @@ pub use cache::{DiskCache, ResultCache};
 pub use client::{http_request, HttpResponse};
 pub use http::{HttpServer, ServerConfig};
 pub use job::{Job, JobId, JobState, RunSummary};
-pub use json::Json;
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use metrics::{Gauges, Metrics};
+pub use ppbench_core::json::Json;
 pub use request::config_from_json;
 pub use service::{CancelOutcome, Service, ServiceConfig, SubmitError, SubmitReceipt};

@@ -176,13 +176,6 @@ impl Metrics {
                 "ppbench_rejected_total{{reason=\"{reason}\"}} {value}\n"
             ));
         }
-        // Kept under its historical name as well: dashboards and the CI
-        // smoke grep predate the labeled family.
-        out.push_str("# TYPE ppbench_rejected_queue_full_total counter\n");
-        out.push_str(&format!(
-            "ppbench_rejected_queue_full_total {}\n",
-            c(&self.rejected_queue_full)
-        ));
         out.push_str("# TYPE ppbench_cache_hits_total counter\n");
         out.push_str(&format!(
             "ppbench_cache_hits_total {}\n",
@@ -319,7 +312,6 @@ mod tests {
             "ppbench_rejected_total{reason=\"queue_full\"} 0",
             "ppbench_rejected_total{reason=\"quota\"} 0",
             "ppbench_rejected_total{reason=\"over_capacity\"} 0",
-            "ppbench_rejected_queue_full_total 0",
             "ppbench_cache_hits_total 1",
             "ppbench_cache_misses_total 0",
             "ppbench_disk_cache_hits_total 1",
@@ -336,5 +328,10 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+        // One series per counter: the pre-label duplicate is gone.
+        assert!(
+            !text.contains("ppbench_rejected_queue_full_total"),
+            "{text}"
+        );
     }
 }

@@ -9,7 +9,7 @@ use ppbench_core::{DanglingStrategy, PipelineConfig, ValidationLevel, Variant, W
 use ppbench_gen::{GeneratorKind, RmatSampler};
 use ppbench_sort::SortKey;
 
-use crate::json::Json;
+use crate::Json;
 
 /// Fields `POST /runs` accepts, mirroring `PipelineConfig` one to one —
 /// except `input_tsv`, which is deliberately not exposed: letting HTTP

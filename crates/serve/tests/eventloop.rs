@@ -192,6 +192,21 @@ fn malformed_request_line_gets_a_quoted_400_diagnostic() {
 }
 
 #[test]
+fn maximally_nested_body_is_a_400_not_a_stack_overflow() {
+    // 64 KiB (the body limit) of `[`: before the parser's nesting cap this
+    // recursed once per byte and aborted the whole process.
+    let mut server = TestServer::start(ServerConfig::default());
+    let body = "[".repeat(64 * 1024);
+    let reply = http_request(server.addr, "POST", "/runs", Some(&body)).expect("POST /runs");
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("nesting too deep"), "{}", reply.body);
+    // The server is still there for the next connection.
+    let health = http_request(server.addr, "GET", "/healthz", None).expect("GET /healthz");
+    assert_eq!(health.status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn connections_in_flight_at_shutdown_still_get_their_response() {
     let mut server = TestServer::start(ServerConfig::default());
     // Open a connection and send only part of the request.
