@@ -1,17 +1,14 @@
 //! The rule engine: runs every rule over a set of source files, applies
-//! waivers, aggregates the workspace-wide lock graph and symbol index,
-//! and returns the surviving diagnostics sorted by position.
+//! waivers, aggregates the workspace-wide lock graph, and returns the
+//! surviving diagnostics sorted by position.
 //!
 //! Two layers feed the rules: the token layer (the lexed code view every
 //! rule has always scanned) and the structure layer (delimiter match map,
-//! fn/const items, loop ranges — built once per file, shared by the
-//! structural rules, and aggregated into the cross-crate
-//! [`SymbolIndex`](crate::index::SymbolIndex)).
+//! fn items, loop ranges — built per file for the structural rules).
 
 use std::collections::BTreeMap;
 
 use crate::diag::Diagnostic;
-use crate::index::SymbolIndex;
 use crate::parse::Structure;
 use crate::rules::{self, locks};
 use crate::source::SourceFile;
@@ -39,31 +36,18 @@ pub fn analyze_report(files: &[SourceFile]) -> Report {
     let mut edges = Vec::new();
     let mut waivers = Vec::new();
 
-    // Structure layer: one pass per production file, `None` elsewhere so
-    // indices stay aligned with `files`.
-    let structures: Vec<Option<Structure>> = files
-        .iter()
-        .map(|f| f.is_production().then(|| Structure::build(f)))
-        .collect();
-    let index = SymbolIndex::build(files, &structures);
-
-    for (file, structure) in files.iter().zip(&structures) {
-        if !file.is_production() {
-            continue;
-        }
+    for file in files.iter().filter(|f| f.is_production()) {
         waivers.extend(waiver::scan(file, rules::ALL_RULES, &mut diags));
         rules::panics::check(file, &mut diags);
         rules::determinism::check(file, &mut diags);
         rules::hygiene::check(file, &mut diags);
         locks::check(file, &mut edges, &mut diags);
-        if let Some(s) = structure {
-            rules::condvar::check(file, s, &mut diags);
-            rules::joins::check(file, s, &mut diags);
-            rules::accum::check(file, s, &mut diags);
-        }
+        let structure = Structure::build(file);
+        rules::condvar::check(file, &structure, &mut diags);
+        rules::joins::check(file, &structure, &mut diags);
+        rules::accum::check(file, &structure, &mut diags);
     }
     diags.extend(locks::cycles(&edges));
-    rules::drift::check(files, &structures, &index, &mut diags);
 
     let (mut diags, used) = waiver::apply_tracking(diags, &waivers);
     diags.extend(waiver::stale(&waivers, &used));

@@ -7,8 +7,7 @@
 //! No rustc plumbing, no syn: a hand-rolled comment/string/lifetime-aware
 //! [`lexer`] feeds two analysis layers. The token layer sees the code
 //! token stream; the structure layer ([`parse`]) adds a delimiter match
-//! map, `fn`/`const` items, and loop ranges per file, aggregated
-//! workspace-wide into a cross-crate symbol [`index`]. Rules:
+//! map, `fn`/`const` items, and loop ranges per file. Rules:
 //!
 //! | Rule | Layer | Invariant |
 //! |---|---|---|
@@ -22,7 +21,6 @@
 //! | `condvar-wait` | structure | every single-guard `Condvar::wait` sits inside a loop (spurious wakeups) |
 //! | `join-order` | structure | channel endpoints drop before the consuming thread is joined |
 //! | `shared-accumulator` | structure | no indexed compound-assign into shared buffers inside parallel closures |
-//! | `config-drift` | index | core `canonical_fields`, serve `ACCEPTED_FIELDS`, and `canonical_hash` stay in lockstep |
 //! | `forbid-unsafe` | token | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `discarded-result` | token | no `let _ =` discarding a value in library code |
 //! | `waiver` | meta | waivers are well-formed, name a real rule, and carry a reason |
@@ -59,7 +57,6 @@
 pub mod baseline;
 pub mod diag;
 pub mod engine;
-pub mod index;
 pub mod lexer;
 pub mod parse;
 pub mod rules;

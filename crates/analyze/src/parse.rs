@@ -7,9 +7,8 @@
 //!
 //! * a delimiter match map (`(` ↔ `)`, `[` ↔ `]`, `{` ↔ `}`) over the
 //!   code-token view, so rules can skip argument lists and bodies in O(1);
-//! * item headers: every `fn` with its name and body range, and every
-//!   `const`/`static` with its name and initializer range (the symbol
-//!   index and the cross-file consistency rules key off these);
+//! * item headers: every `fn` with its name and body range (`join-order`
+//!   scans one body at a time);
 //! * loop body ranges (`loop`/`while`/`for`), so `Condvar::wait` sites can
 //!   be classified as inside or outside a retry loop.
 //!
@@ -26,23 +25,9 @@ pub struct FnItem {
     /// Function name (`r#`-prefix stripped is not attempted; names in this
     /// workspace are plain identifiers).
     pub name: String,
-    /// Code index of the name ident.
-    pub name_idx: usize,
     /// Code indices of the body `{` and `}` (inclusive), or `None` for
     /// trait-method declarations (`fn f();`).
     pub body: Option<(usize, usize)>,
-}
-
-/// One `const` or `static` item: its name and initializer range.
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    /// Item name (`ACCEPTED_FIELDS`, `TOP_KEYS`, …).
-    pub name: String,
-    /// Code index of the name ident.
-    pub name_idx: usize,
-    /// Code-index range `(first, last)` of the initializer expression —
-    /// the tokens strictly between `=` and the terminating `;`.
-    pub value: (usize, usize),
 }
 
 /// The structural view of one file. Built once per file by the engine and
@@ -53,8 +38,6 @@ pub struct Structure {
     match_map: Vec<Option<usize>>,
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
-    /// Every `const`/`static` item, in source order.
-    pub consts: Vec<ConstItem>,
     /// Body ranges (code indices of `{` and `}`) of every `loop`, `while`,
     /// and `for`, in source order.
     loop_bodies: Vec<(usize, usize)>,
@@ -67,7 +50,6 @@ impl Structure {
         let mut s = Structure {
             match_map,
             fns: Vec::new(),
-            consts: Vec::new(),
             loop_bodies: Vec::new(),
         };
         s.collect_items(file);
@@ -101,11 +83,6 @@ impl Structure {
     /// The named function, if the file defines one.
     pub fn fn_named(&self, name: &str) -> Option<&FnItem> {
         self.fns.iter().find(|f| f.name == name)
-    }
-
-    /// The named const/static, if the file defines one.
-    pub fn const_named(&self, name: &str) -> Option<&ConstItem> {
-        self.consts.iter().find(|c| c.name == name)
     }
 
     /// Starting at code index `i`, skips forward over complete delimiter
@@ -154,41 +131,12 @@ impl Structure {
                         .scan_to(file, name_idx + 1, |t| t == "{" || t == ";")
                         .filter(|&j| file.code_text(j) == "{")
                         .and_then(|j| self.matching(j).map(|e| (j, e)));
-                    self.fns.push(FnItem {
-                        name,
-                        name_idx,
-                        body,
-                    });
+                    self.fns.push(FnItem { name, body });
                     if let Some((body_open, _)) = self.fns.last().and_then(|f| f.body) {
                         // Nested fns are rare here; descend into bodies so
                         // they are still collected.
                         i = body_open + 1;
                         continue;
-                    }
-                    i = name_idx + 1;
-                }
-                // `const NAME: Ty = value;` / `static NAME: Ty = value;`
-                // (skipping `const fn`, handled by the arm above on the
-                // next iteration, and `const _` placeholders).
-                "const" | "static"
-                    if i + 1 < n
-                        && file.code_token(i + 1).kind == TokenKind::Ident
-                        && !matches!(file.code_text(i + 1), "fn" | "mut" | "_") =>
-                {
-                    let name_idx = i + 1;
-                    let eq = self.scan_to(file, name_idx + 1, |t| t == "=" || t == ";");
-                    if let Some(eq) = eq.filter(|&j| file.code_text(j) == "=") {
-                        if let Some(semi) = self.scan_to(file, eq + 1, |t| t == ";") {
-                            if semi > eq + 1 {
-                                self.consts.push(ConstItem {
-                                    name: file.code_text(name_idx).to_string(),
-                                    name_idx,
-                                    value: (eq + 1, semi - 1),
-                                });
-                            }
-                            i = semi + 1;
-                            continue;
-                        }
                     }
                     i = name_idx + 1;
                 }
@@ -317,18 +265,6 @@ mod tests {
             .find(|&i| f.code_text(i) == "work")
             .expect("work");
         assert_eq!(s.fn_containing(work).expect("inner").name, "inner");
-    }
-
-    #[test]
-    fn const_items_capture_the_initializer_range() {
-        let f = file("pub const KEYS: &[&str] = &[\"a\", \"b\"];\nstatic N: usize = 3;");
-        let s = Structure::build(&f);
-        let keys = s.const_named("KEYS").expect("KEYS");
-        let texts: Vec<&str> = (keys.value.0..=keys.value.1)
-            .map(|i| f.code_text(i))
-            .collect();
-        assert!(texts.contains(&"\"a\""), "{texts:?}");
-        assert!(s.const_named("N").is_some());
     }
 
     #[test]

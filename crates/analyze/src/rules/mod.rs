@@ -10,7 +10,6 @@
 pub mod accum;
 pub mod condvar;
 pub mod determinism;
-pub mod drift;
 pub mod hygiene;
 pub mod joins;
 pub mod locks;
@@ -32,7 +31,6 @@ pub const ALL_RULES: &[&str] = &[
     "condvar-wait",
     "join-order",
     "shared-accumulator",
-    "config-drift",
     "forbid-unsafe",
     "discarded-result",
     "waiver",
@@ -112,10 +110,6 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
     (
         "shared-accumulator",
         "no indexed compound assignment inside a parallel closure (false sharing)",
-    ),
-    (
-        "config-drift",
-        "canonical config fields, the serve parser, and the config hash stay in lockstep",
     ),
     (
         "forbid-unsafe",

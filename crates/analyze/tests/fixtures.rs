@@ -6,8 +6,6 @@
 use std::path::PathBuf;
 
 use ppbench_analyze::engine::analyze;
-use ppbench_analyze::index::SymbolIndex;
-use ppbench_analyze::parse::Structure;
 use ppbench_analyze::rules::{severity_of, Severity};
 use ppbench_analyze::source::{FileKind, SourceFile};
 
@@ -324,45 +322,6 @@ fn shared_accumulator_fixture_pair() {
 }
 
 #[test]
-fn config_drift_fixture_pair_spans_crates() {
-    let core = || {
-        fixture(
-            "config_drift_core.rs",
-            "crates/core/src/config.rs",
-            "ppbench-core",
-            FileKind::Lib,
-        )
-    };
-    // Lockstep serve side: silent.
-    let ok = fixture(
-        "config_drift_serve_ok.rs",
-        "crates/serve/src/request.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[core(), ok]).is_empty());
-
-    // Drifted serve side: one finding per direction, one per key.
-    let bad = fixture(
-        "config_drift_serve_bad.rs",
-        "crates/serve/src/request.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    let diags = analyze(&[core(), bad]);
-    let drift: Vec<_> = diags.iter().filter(|d| d.rule == "config-drift").collect();
-    assert_eq!(drift.len(), 2, "{diags:?}");
-    // The missing canonical key anchors core-side; the unknown accepted
-    // key anchors serve-side.
-    assert!(drift
-        .iter()
-        .any(|d| d.message.contains("`seed`") && d.path.ends_with("config.rs")));
-    assert!(drift
-        .iter()
-        .any(|d| d.message.contains("`turbo`") && d.path.ends_with("request.rs")));
-}
-
-#[test]
 fn stale_waiver_fixture_flags_only_the_dead_waiver() {
     let f = fixture(
         "stale_waiver.rs",
@@ -412,25 +371,4 @@ fn the_workspace_itself_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn workspace_drift_anchors_exist() {
-    // `config-drift` stays silent when its anchor symbols are missing, so
-    // a rename could disable it without a failure anywhere. Pin the
-    // anchors to the real tree.
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = ppbench_analyze::walk::find_workspace_root(&manifest)
-        .expect("workspace root above crates/analyze");
-    let files = ppbench_analyze::walk::load_workspace(&root).expect("workspace loads");
-    let structures: Vec<_> = files
-        .iter()
-        .map(|f| f.is_production().then(|| Structure::build(f)))
-        .collect();
-    let index = SymbolIndex::build(&files, &structures);
-    assert!(index.find_fn("ppbench-core", "canonical_fields").is_some());
-    assert!(index.find_fn("ppbench-core", "canonical_hash").is_some());
-    assert!(index
-        .find_const("ppbench-serve", "ACCEPTED_FIELDS")
-        .is_some());
 }

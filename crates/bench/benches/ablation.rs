@@ -2,7 +2,7 @@
 //!
 //! * kernel-1 sort algorithm (radix vs counting vs comparison vs parallel
 //!   vs out-of-core);
-//! * kernel-3 SpMV form (CSR scatter vs CSC gather vs parallel gather);
+//! * kernel-3 SpMV form (CSR scatter vs CSC gather);
 //! * kernel-0 generator (Kronecker vs PPL vs Erdős–Rényi) and the cost of
 //!   the vertex permutation / edge shuffle options;
 //! * file-count choice for the edge writer (the spec's free parameter).
@@ -81,13 +81,10 @@ fn bench_spmv_forms(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     group.bench_function("csr-scatter", |b| b.iter(|| spmv::vxm(&x, &a)));
-    group.bench_function("csc-gather", |b| b.iter(|| spmv::vxm_gather(&x, &at)));
-    group.bench_function("csc-gather-parallel", |b| {
-        b.iter(|| spmv::par_vxm_gather(&x, &at))
-    });
+    group.bench_function("csc-gather", |b| b.iter(|| spmv::mxv(&at, &x)));
     group.bench_function("gather-including-transpose", |b| {
         // What it costs if the transpose is NOT amortized across iterations.
-        b.iter(|| spmv::vxm_gather(&x, &a.transpose()))
+        b.iter(|| spmv::mxv(&a.transpose(), &x))
     });
     group.finish();
 }

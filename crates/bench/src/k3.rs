@@ -2,10 +2,9 @@
 //!
 //! The paper's compute-bound kernel is the one expected to "show a wider
 //! dispersion in performance" once parallelized (§IV.D), so this module
-//! measures exactly that axis: the historical scatter and gather forms,
-//! the row-parallel gather (nnz-balanced ranges writing into one reused
-//! output allocation), and the nnz-balanced fused kernels (wide and
-//! narrow indices) the hot path now uses — each swept over explicit
+//! measures exactly that axis: the serial scatter the serial backends
+//! run, and the nnz-balanced fused kernels (wide and narrow indices) the
+//! parallel backend runs — each swept over explicit
 //! thread counts, keeping the fastest of `trials` repetitions per point
 //! so one scheduler hiccup cannot masquerade as a scaling regression.
 //! Results land in `BENCH_k3.json` as
@@ -31,11 +30,6 @@ use crate::harness::{
 pub enum K3Variant {
     /// Serial CSR scatter (`vxm_into`) — the reference implementation.
     Scatter,
-    /// Serial gather over the precomputed transpose.
-    Gather,
-    /// Row-parallel gather over the transpose: nnz-balanced row ranges
-    /// gathered into a single output allocation per call.
-    ParGather,
     /// nnz-balanced fused kernel over wide (`u64`) column indices.
     BalancedFusedU64,
     /// nnz-balanced fused kernel over narrow (`u32`) column indices.
@@ -44,10 +38,8 @@ pub enum K3Variant {
 
 /// Every variant, measurement order: serial scatter first, so it is both a
 /// row and the accuracy reference.
-pub const VARIANTS: [Variant<K3Variant>; 5] = [
+pub const VARIANTS: [Variant<K3Variant>; 3] = [
     (K3Variant::Scatter, "scatter", false),
-    (K3Variant::Gather, "gather", false),
-    (K3Variant::ParGather, "par_gather", true),
     (K3Variant::BalancedFusedU64, "balanced_fused_u64", true),
     (K3Variant::BalancedFusedU32, "balanced_fused_u32", true),
 ];
@@ -146,18 +138,6 @@ fn run_variant(
                 spmv::vxm_into(r, &fx.a, next);
                 kernel3::apply_epilogue(r, next, coeffs)
             },
-            &fx.dangling,
-            &fx.opts,
-        ),
-        K3Variant::Gather => kernel3::run_into(
-            r0,
-            kernel3::serial_stepper(|x: &[f64]| spmv::vxm_gather(x, &fx.at)),
-            &fx.dangling,
-            &fx.opts,
-        ),
-        K3Variant::ParGather => kernel3::run_into(
-            r0,
-            kernel3::serial_stepper(|x: &[f64]| spmv::par_vxm_gather(x, &fx.at)),
             &fx.dangling,
             &fx.opts,
         ),
@@ -288,8 +268,8 @@ mod tests {
     fn sweep_covers_every_variant_and_agrees_with_serial() {
         let cfg = tiny_cfg();
         let rows = cfg.run().unwrap();
-        // 2 serial rows + 3 parallel variants × 2 thread counts.
-        assert_eq!(rows.len(), 2 + 3 * 2);
+        // 1 serial row + 2 parallel variants × 2 thread counts.
+        assert_eq!(rows.len(), 1 + 2 * 2);
         for (_, name, _) in VARIANTS {
             assert!(rows.iter().any(|r| r.variant == name), "missing {name}");
         }
@@ -315,7 +295,7 @@ mod tests {
             ..tiny_cfg()
         };
         let rows = cfg.run().unwrap();
-        assert_eq!(rows.len(), 2 + 3 * 2);
+        assert_eq!(rows.len(), 1 + 2 * 2);
         for row in &rows {
             assert!(row.l1_vs_serial < 1e-12, "{row:?}");
         }

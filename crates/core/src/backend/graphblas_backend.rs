@@ -125,10 +125,10 @@ impl Backend for GraphBlasBackend {
     }
 
     fn kernel3(&self, cfg: &PipelineConfig, matrix: &Csr<f64>) -> Result<kernel3::PageRankRun> {
-        let dangling = ops::empty_rows(matrix);
-        Ok(kernel3::run(
+        let dangling = kernel3::DanglingInfo::from_mask(&ops::empty_rows(matrix));
+        Ok(kernel3::run_into(
             kernel3::init_ranks(cfg.spec.num_vertices(), cfg.seed),
-            |r| graphblas::vxm::<graphblas::PlusTimes>(r, matrix),
+            kernel3::serial_stepper(|r| graphblas::vxm::<graphblas::PlusTimes>(r, matrix)),
             &dangling,
             &cfg.pagerank_options(),
         ))

@@ -174,10 +174,10 @@ impl Backend for NaiveBackend {
             }
             out
         };
-        let dangling = ppbench_sparse::ops::empty_rows(matrix);
-        Ok(kernel3::run(
+        let dangling = kernel3::DanglingInfo::from_mask(&ppbench_sparse::ops::empty_rows(matrix));
+        Ok(kernel3::run_into(
             kernel3::init_ranks(cfg.spec.num_vertices(), cfg.seed),
-            multiply,
+            kernel3::serial_stepper(multiply),
             &dangling,
             &cfg.pagerank_options(),
         ))

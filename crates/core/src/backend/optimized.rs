@@ -51,8 +51,7 @@ impl Backend for OptimizedBackend {
         // place — `run_into` ping-pongs the two rank buffers, so the whole
         // loop performs zero O(N) allocation after setup. The epilogue
         // arithmetic lives in `kernel3::apply_epilogue`, shared with
-        // `step_with` expression-for-expression so serial backends stay
-        // bit-identical.
+        // `kernel3::serial_stepper` so serial backends stay bit-identical.
         let dangling = kernel3::DanglingInfo::from_mask(&ppbench_sparse::ops::empty_rows(matrix));
         let r0 = kernel3::init_ranks(cfg.spec.num_vertices(), cfg.seed);
         Ok(kernel3::run_into(

@@ -5,6 +5,13 @@
 //! config value describes a run completely and two runs with equal configs
 //! are bit-identical (up to the floating-point reassociation of the
 //! parallel backend).
+//!
+//! A run is spelled once: [`FIELDS`] holds one row per [`PipelineConfig`]
+//! field — its canonical/JSON key, its `pprank` flag, whether HTTP may set
+//! it, what it accepts, how it renders into the cache identity and how a
+//! wire value is typed into it. The canonical form, the `POST /runs`
+//! parser and the `pprank` flag parser and usage text are all loops over
+//! that table, so they cannot disagree.
 
 use std::path::PathBuf;
 
@@ -12,6 +19,7 @@ use ppbench_gen::{GeneratorKind, GraphSpec, RmatSampler};
 use ppbench_sort::SortKey;
 
 use crate::backend::Variant;
+use crate::json::Json;
 use crate::kernel3::{DanglingStrategy, PageRankOptions};
 use crate::workload::Workload;
 use crate::{DAMPING, ITERATIONS};
@@ -29,6 +37,43 @@ pub enum ValidationLevel {
     /// output against the dominant eigenvector of `c·Aᵀ + (1−c)/N·𝟙`
     /// computed by matrix-free power iteration.
     Eigenvector,
+}
+
+impl ValidationLevel {
+    /// Stable name for CLI flags, request bodies and the canonical form.
+    pub fn name(self) -> &'static str {
+        match self {
+            ValidationLevel::None => "none",
+            ValidationLevel::Invariants => "invariants",
+            ValidationLevel::Eigenvector => "eigen",
+        }
+    }
+
+    /// Parses a [`ValidationLevel::name`] (or the long form `eigenvector`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "none" => Some(Self::None),
+            "invariants" => Some(Self::Invariants),
+            "eigen" | "eigenvector" => Some(Self::Eigenvector),
+            _ => None,
+        }
+    }
+}
+
+/// Stable name of a kernel-1 sort key (`SortKey` lives in `ppbench-sort`,
+/// which knows nothing of wire formats).
+fn sort_key_name(key: SortKey) -> &'static str {
+    match key {
+        SortKey::Start => "start",
+        SortKey::StartEnd => "start-end",
+    }
+}
+
+/// Parses a [`sort_key_name`].
+fn parse_sort_key(s: &str) -> Option<SortKey> {
+    [SortKey::Start, SortKey::StartEnd]
+        .into_iter()
+        .find(|&k| sort_key_name(k) == s)
 }
 
 /// Complete description of a pipeline run.
@@ -110,7 +155,8 @@ impl PipelineConfig {
         }
     }
 
-    /// Every field as a canonical `(key, value)` pair, sorted by key.
+    /// Every field as a canonical `(key, value)` pair, sorted by key — one
+    /// per [`FIELDS`] row.
     ///
     /// This is the identity of a run for caching purposes: two configs
     /// with equal canonical fields produce bit-identical results (up to the
@@ -120,61 +166,7 @@ impl PipelineConfig {
     /// which a caller (builder chain, JSON body, CLI flags) supplied the
     /// fields.
     pub fn canonical_fields(&self) -> Vec<(&'static str, String)> {
-        let f64_bits = |v: f64| format!("f64:{:016x}", v.to_bits());
-        let mut fields = vec![
-            (
-                "add_diagonal_to_empty",
-                self.add_diagonal_to_empty.to_string(),
-            ),
-            (
-                "convergence_tolerance",
-                self.convergence_tolerance
-                    .map_or_else(|| "none".to_string(), f64_bits),
-            ),
-            ("damping", f64_bits(self.damping)),
-            ("dangling", self.dangling.name().to_string()),
-            ("edge_factor", self.spec.edge_factor().to_string()),
-            ("fused", self.fused.to_string()),
-            ("gen", self.gen.name().to_string()),
-            ("generator", self.generator.name().to_string()),
-            ("iterations", self.iterations.to_string()),
-            ("num_files", self.num_files.to_string()),
-            ("permute_vertices", self.permute_vertices.to_string()),
-            ("scale", self.spec.scale().to_string()),
-            ("seed", self.seed.to_string()),
-            ("shuffle_edges", self.shuffle_edges.to_string()),
-            (
-                "sort_key",
-                match self.sort_key {
-                    SortKey::Start => "start".to_string(),
-                    SortKey::StartEnd => "start-end".to_string(),
-                },
-            ),
-            (
-                "sort_budget_bytes",
-                self.sort_budget_bytes
-                    .map_or_else(|| "none".to_string(), |b| b.to_string()),
-            ),
-            (
-                "validation",
-                match self.validation {
-                    ValidationLevel::None => "none".to_string(),
-                    ValidationLevel::Invariants => "invariants".to_string(),
-                    ValidationLevel::Eigenvector => "eigen".to_string(),
-                },
-            ),
-            ("variant", self.variant.name().to_string()),
-            ("workload", self.workload.name().to_string()),
-            (
-                // ppbench: allow(config-drift, reason = "deliberately absent from serve ACCEPTED_FIELDS: accepting a server-side path over HTTP would let clients probe the filesystem")
-                "input_tsv",
-                self.input_tsv
-                    .as_ref()
-                    .map_or_else(|| "none".to_string(), |p| p.display().to_string()),
-            ),
-        ];
-        fields.sort_by_key(|(k, _)| *k);
-        fields
+        FIELDS.iter().map(|f| (f.key, (f.render)(self))).collect()
     }
 
     /// Stable 64-bit hash of the canonical field list (FNV-1a over
@@ -214,55 +206,294 @@ impl PipelineConfig {
     }
 }
 
+/// How `pprank` spells a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cli {
+    /// No flag: the command line leaves the field at its default.
+    None,
+    /// `--flag VALUE`.
+    Takes(&'static str),
+    /// A bare `--flag`, standing for this value.
+    Bare(&'static str, &'static str),
+}
+
+/// A value on its way into a field, as one of the two wires delivers it.
+#[derive(Debug, Clone, Copy)]
+pub enum Wire<'a> {
+    /// A member of a `POST /runs` body.
+    Json(&'a Json),
+    /// The text following (or implied by) a `pprank` flag.
+    Text(&'a str),
+}
+
+/// One row of [`FIELDS`]: everything the workspace knows about one
+/// [`PipelineConfig`] field.
+pub struct ConfigField {
+    /// The canonical-form key, which is also the `POST /runs` JSON key.
+    pub key: &'static str,
+    /// The accepted values, for usage and error text.
+    pub accepts: &'static str,
+    /// The `pprank` spelling.
+    pub cli: Cli,
+    /// Whether a `POST /runs` body may set the field.
+    pub http: bool,
+    /// The field's range bound — written here and nowhere else. Checked
+    /// after every [`ConfigField::apply`] and, for values handed to the
+    /// builder's setters, by [`PipelineConfigBuilder::check`].
+    pub ok: fn(&PipelineConfigBuilder) -> bool,
+    /// The field's canonical rendering (see
+    /// [`PipelineConfig::canonical_fields`]).
+    pub render: fn(&PipelineConfig) -> String,
+    /// Types a wire value into the field.
+    pub set: Setter,
+}
+
+/// The type of [`ConfigField::set`]: the builder to change, the row itself
+/// (so a rejection can name the field and what it accepts) and the value.
+type Setter = fn(&mut PipelineConfigBuilder, &ConfigField, Wire<'_>) -> Result<(), String>;
+
+impl ConfigField {
+    /// A row with the common answers filled in — no flag, open to HTTP,
+    /// any value of the right type in range — for the chain below to
+    /// override. Every row must chain `render` and `set`.
+    const fn new(key: &'static str, accepts: &'static str) -> Self {
+        Self {
+            key,
+            accepts,
+            cli: Cli::None,
+            http: true,
+            ok: |_| true,
+            render: |_| String::new(),
+            set: |_, field, _| Err(field.reject()),
+        }
+    }
+
+    const fn cli(mut self, cli: Cli) -> Self {
+        self.cli = cli;
+        self
+    }
+
+    const fn closed_to_http(mut self) -> Self {
+        self.http = false;
+        self
+    }
+
+    const fn bound(mut self, ok: fn(&PipelineConfigBuilder) -> bool) -> Self {
+        self.ok = ok;
+        self
+    }
+
+    const fn render(mut self, render: fn(&PipelineConfig) -> String) -> Self {
+        self.render = render;
+        self
+    }
+
+    const fn set(mut self, set: Setter) -> Self {
+        self.set = set;
+        self
+    }
+
+    /// Sets the field on `b` from a wire value, rejecting a value of the
+    /// wrong type or outside the field's bound with a message that names
+    /// the field and what it accepts.
+    pub fn apply(&self, b: &mut PipelineConfigBuilder, wire: Wire<'_>) -> Result<(), String> {
+        (self.set)(b, self, wire)?;
+        (self.ok)(b).then_some(()).ok_or_else(|| self.reject())
+    }
+
+    fn reject(&self) -> String {
+        format!("{} must be {}", self.key, self.accepts)
+    }
+
+    /// The wire value as `T`: a JSON member through `json`, flag text
+    /// parsed.
+    fn read<T: std::str::FromStr>(wire: Wire<'_>, json: fn(&Json) -> Option<T>) -> Option<T> {
+        match wire {
+            Wire::Json(j) => json(j),
+            Wire::Text(t) => t.parse().ok(),
+        }
+    }
+
+    fn typed<T>(&self, value: Option<T>) -> Result<T, String> {
+        value.ok_or_else(|| self.reject())
+    }
+
+    /// Reads a non-negative integer no wider than the field.
+    fn uint<T: TryFrom<u64>>(&self, wire: Wire<'_>) -> Result<T, String> {
+        self.typed(Self::read(wire, Json::as_u64).and_then(|n| T::try_from(n).ok()))
+    }
+
+    fn number(&self, wire: Wire<'_>) -> Result<f64, String> {
+        self.typed(Self::read(wire, Json::as_f64).filter(|x| x.is_finite()))
+    }
+
+    fn boolean(&self, wire: Wire<'_>) -> Result<bool, String> {
+        self.typed(Self::read(wire, Json::as_bool))
+    }
+
+    fn text<'a>(&self, wire: Wire<'a>) -> Result<&'a str, String> {
+        match wire {
+            Wire::Json(j) => self.typed(j.as_str()),
+            Wire::Text(t) => Ok(t),
+        }
+    }
+
+    /// Reads one of an enum's stable names.
+    fn named<T>(&self, wire: Wire<'_>, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+        let name = self.text(wire)?;
+        parse(name).ok_or_else(|| format!("unknown {} {name:?} ({})", self.key, self.accepts))
+    }
+}
+
+fn f64_bits(v: f64) -> String {
+    format!("f64:{:016x}", v.to_bits())
+}
+
+fn or_none<T>(v: Option<T>, render: impl FnOnce(T) -> String) -> String {
+    v.map_or_else(|| "none".to_string(), render)
+}
+
+/// The field table: one row per [`PipelineConfig`] field, sorted by key.
+pub static FIELDS: [ConfigField; 20] = [
+    ConfigField::new("add_diagonal_to_empty", "true|false")
+        .cli(Cli::Bare("--diagonal", "true"))
+        .render(|c| c.add_diagonal_to_empty.to_string())
+        .set(|b, f, w| f.boolean(w).map(|v| b.cfg.add_diagonal_to_empty = v)),
+    ConfigField::new("convergence_tolerance", "a positive number")
+        .cli(Cli::Takes("--converge"))
+        .bound(|b| b.cfg.convergence_tolerance.is_none_or(|tol| tol > 0.0))
+        .render(|c| or_none(c.convergence_tolerance, f64_bits))
+        .set(|b, f, w| f.number(w).map(|v| b.cfg.convergence_tolerance = Some(v))),
+    ConfigField::new("damping", "a number strictly between 0 and 1")
+        .cli(Cli::Takes("--damping"))
+        .bound(|b| b.cfg.damping > 0.0 && b.cfg.damping < 1.0)
+        .render(|c| f64_bits(c.damping))
+        .set(|b, f, w| f.number(w).map(|v| b.cfg.damping = v)),
+    ConfigField::new("dangling", "omit|redistribute|sink")
+        .cli(Cli::Takes("--dangling"))
+        .render(|c| c.dangling.name().to_string())
+        .set(|b, f, w| {
+            f.named(w, DanglingStrategy::parse)
+                .map(|v| b.cfg.dangling = v)
+        }),
+    ConfigField::new("edge_factor", "an integer, at least 1")
+        .cli(Cli::Takes("--edge-factor"))
+        .bound(|b| b.edge_factor >= 1)
+        .render(|c| c.spec.edge_factor().to_string())
+        .set(|b, f, w| f.uint(w).map(|v| b.edge_factor = v)),
+    ConfigField::new("fused", "true|false")
+        .cli(Cli::Bare("--fused", "true"))
+        .render(|c| c.fused.to_string())
+        .set(|b, f, w| f.boolean(w).map(|v| b.cfg.fused = v)),
+    ConfigField::new("gen", "faithful|linear")
+        .cli(Cli::Takes("--gen"))
+        .render(|c| c.gen.name().to_string())
+        .set(|b, f, w| f.named(w, RmatSampler::parse).map(|v| b.cfg.gen = v)),
+    ConfigField::new("generator", "kronecker|ppl|erdos-renyi|bter")
+        .cli(Cli::Takes("--generator"))
+        .render(|c| c.generator.name().to_string())
+        .set(|b, f, w| {
+            f.named(w, GeneratorKind::parse)
+                .map(|v| b.cfg.generator = v)
+        }),
+    ConfigField::new("input_tsv", "a path to a TSV edge list")
+        .cli(Cli::Takes("--input-tsv"))
+        // The one field HTTP may not set: accepting a server-side path over
+        // the network would let clients probe the filesystem, so TSV
+        // ingestion stays a CLI/library feature.
+        .closed_to_http()
+        .render(|c| or_none(c.input_tsv.as_ref(), |p| p.display().to_string()))
+        .set(|b, f, w| f.text(w).map(|path| b.cfg.input_tsv = Some(path.into()))),
+    ConfigField::new("iterations", "an integer from 1 to 2^32-1")
+        .cli(Cli::Takes("--iterations"))
+        .bound(|b| b.cfg.iterations >= 1)
+        .render(|c| c.iterations.to_string())
+        .set(|b, f, w| f.uint(w).map(|v| b.cfg.iterations = v)),
+    ConfigField::new("num_files", "an integer, at least 1")
+        .cli(Cli::Takes("--files"))
+        .bound(|b| b.cfg.num_files >= 1)
+        .render(|c| c.num_files.to_string())
+        .set(|b, f, w| f.uint(w).map(|v| b.cfg.num_files = v)),
+    ConfigField::new("permute_vertices", "true|false")
+        .render(|c| c.permute_vertices.to_string())
+        .set(|b, f, w| f.boolean(w).map(|v| b.cfg.permute_vertices = v)),
+    ConfigField::new("scale", "an integer from 0 to 57")
+        .cli(Cli::Takes("--scale"))
+        .bound(|b| b.scale <= 57)
+        .render(|c| c.spec.scale().to_string())
+        .set(|b, f, w| f.uint(w).map(|v| b.scale = v)),
+    ConfigField::new("seed", "an integer from 0 to 2^64-1")
+        .cli(Cli::Takes("--seed"))
+        .render(|c| c.seed.to_string())
+        .set(|b, f, w| f.uint(w).map(|v| b.cfg.seed = v)),
+    ConfigField::new("shuffle_edges", "true|false")
+        .render(|c| c.shuffle_edges.to_string())
+        .set(|b, f, w| f.boolean(w).map(|v| b.cfg.shuffle_edges = v)),
+    ConfigField::new("sort_budget_bytes", "a byte count")
+        .cli(Cli::Takes("--budget"))
+        .render(|c| or_none(c.sort_budget_bytes, |bytes| bytes.to_string()))
+        .set(|b, f, w| f.uint(w).map(|v| b.cfg.sort_budget_bytes = Some(v))),
+    ConfigField::new("sort_key", "start|start-end")
+        .cli(Cli::Bare("--sort-end", "start-end"))
+        .render(|c| sort_key_name(c.sort_key).to_string())
+        .set(|b, f, w| f.named(w, parse_sort_key).map(|v| b.cfg.sort_key = v)),
+    ConfigField::new("validation", "none|invariants|eigen|eigenvector")
+        .cli(Cli::Takes("--validate"))
+        .render(|c| c.validation.name().to_string())
+        .set(|b, f, w| {
+            f.named(w, ValidationLevel::parse)
+                .map(|v| b.cfg.validation = v)
+        }),
+    ConfigField::new("variant", "optimized|naive|dataframe|parallel|graphblas")
+        .cli(Cli::Takes("--variant"))
+        .render(|c| c.variant.name().to_string())
+        .set(|b, f, w| f.named(w, Variant::parse).map(|v| b.cfg.variant = v)),
+    ConfigField::new("workload", "pagerank|bfs|cc|sssp|tc")
+        .cli(Cli::Takes("--workload"))
+        .render(|c| c.workload.name().to_string())
+        .set(|b, f, w| f.named(w, Workload::parse).map(|v| b.cfg.workload = v)),
+];
+
 /// Builder for [`PipelineConfig`]; every setter has a spec-conformant
 /// default.
 #[derive(Debug, Clone)]
 pub struct PipelineConfigBuilder {
+    /// Every field but `spec`, which [`PipelineConfigBuilder::build`]
+    /// derives from the two raw parts below: a `GraphSpec` cannot hold an
+    /// out-of-range pair, and a chain of setters may pass through one on
+    /// its way to a valid end state.
+    cfg: PipelineConfig,
     scale: u32,
     edge_factor: u64,
-    seed: u64,
-    num_files: usize,
-    generator: GeneratorKind,
-    gen: RmatSampler,
-    permute_vertices: bool,
-    shuffle_edges: bool,
-    variant: Variant,
-    sort_key: SortKey,
-    sort_budget_bytes: Option<u64>,
-    add_diagonal_to_empty: bool,
-    damping: f64,
-    iterations: u32,
-    dangling: DanglingStrategy,
-    convergence_tolerance: Option<f64>,
-    validation: ValidationLevel,
-    workload: Workload,
-    input_tsv: Option<PathBuf>,
-    fused: bool,
 }
 
 impl Default for PipelineConfigBuilder {
     fn default() -> Self {
+        let spec = GraphSpec::with_scale(16);
         Self {
-            scale: 16,
-            edge_factor: ppbench_gen::DEFAULT_EDGE_FACTOR,
-            seed: 1,
-            num_files: 1,
-            generator: GeneratorKind::Kronecker,
-            gen: RmatSampler::Faithful,
-            permute_vertices: true,
-            shuffle_edges: false,
-            variant: Variant::Optimized,
-            sort_key: SortKey::Start,
-            sort_budget_bytes: None,
-            add_diagonal_to_empty: false,
-            damping: DAMPING,
-            iterations: ITERATIONS,
-            dangling: DanglingStrategy::Omit,
-            convergence_tolerance: None,
-            validation: ValidationLevel::Invariants,
-            workload: Workload::PageRank,
-            input_tsv: None,
-            fused: false,
+            scale: spec.scale(),
+            edge_factor: spec.edge_factor(),
+            cfg: PipelineConfig {
+                spec,
+                seed: 1,
+                num_files: 1,
+                generator: GeneratorKind::Kronecker,
+                gen: RmatSampler::Faithful,
+                permute_vertices: true,
+                shuffle_edges: false,
+                variant: Variant::Optimized,
+                sort_key: SortKey::Start,
+                sort_budget_bytes: None,
+                add_diagonal_to_empty: false,
+                damping: DAMPING,
+                iterations: ITERATIONS,
+                dangling: DanglingStrategy::Omit,
+                convergence_tolerance: None,
+                validation: ValidationLevel::Invariants,
+                workload: Workload::PageRank,
+                input_tsv: None,
+                fused: false,
+            },
         }
     }
 }
@@ -282,152 +513,153 @@ impl PipelineConfigBuilder {
 
     /// Sets the master seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Sets how many files kernels 0 and 1 write.
     pub fn num_files(mut self, n: usize) -> Self {
-        self.num_files = n;
+        self.cfg.num_files = n;
         self
     }
 
     /// Selects the kernel-0 generator.
     pub fn generator(mut self, g: GeneratorKind) -> Self {
-        self.generator = g;
+        self.cfg.generator = g;
         self
     }
 
     /// Selects the R-MAT sampling algorithm (faithful coin flips or the
     /// linear-work block sampler) for the Kronecker generator.
     pub fn gen(mut self, s: RmatSampler) -> Self {
-        self.gen = s;
+        self.cfg.gen = s;
         self
     }
 
     /// Toggles the kernel-0 vertex-label permutation.
     pub fn permute_vertices(mut self, on: bool) -> Self {
-        self.permute_vertices = on;
+        self.cfg.permute_vertices = on;
         self
     }
 
     /// Toggles the kernel-0 edge-order shuffle.
     pub fn shuffle_edges(mut self, on: bool) -> Self {
-        self.shuffle_edges = on;
+        self.cfg.shuffle_edges = on;
         self
     }
 
     /// Selects the implementation variant.
     pub fn variant(mut self, v: Variant) -> Self {
-        self.variant = v;
+        self.cfg.variant = v;
         self
     }
 
     /// Selects the kernel-1 sort key.
     pub fn sort_key(mut self, k: SortKey) -> Self {
-        self.sort_key = k;
+        self.cfg.sort_key = k;
         self
     }
 
     /// Caps kernel 1's in-memory buffer at `bytes` (16 bytes per resident
     /// edge), forcing the out-of-core path beyond it.
     pub fn sort_budget_bytes(mut self, bytes: u64) -> Self {
-        self.sort_budget_bytes = Some(bytes);
+        self.cfg.sort_budget_bytes = Some(bytes);
         self
     }
 
     /// Enables the §V dangling-node diagonal repair in kernel 2.
     pub fn add_diagonal_to_empty(mut self, on: bool) -> Self {
-        self.add_diagonal_to_empty = on;
+        self.cfg.add_diagonal_to_empty = on;
         self
     }
 
     /// Overrides the damping factor.
     pub fn damping(mut self, c: f64) -> Self {
-        self.damping = c;
+        self.cfg.damping = c;
         self
     }
 
     /// Overrides the PageRank iteration count.
     pub fn iterations(mut self, n: u32) -> Self {
-        self.iterations = n;
+        self.cfg.iterations = n;
         self
     }
 
     /// Selects the dangling-row strategy for kernel 3.
     pub fn dangling(mut self, d: DanglingStrategy) -> Self {
-        self.dangling = d;
+        self.cfg.dangling = d;
         self
     }
 
     /// Enables convergence-test stopping for kernel 3.
     pub fn convergence_tolerance(mut self, tol: f64) -> Self {
-        self.convergence_tolerance = Some(tol);
+        self.cfg.convergence_tolerance = Some(tol);
         self
     }
 
     /// Sets the validation level.
     pub fn validation(mut self, v: ValidationLevel) -> Self {
-        self.validation = v;
+        self.cfg.validation = v;
         self
     }
 
     /// Selects the kernel-3-slot workload (PageRank or a GAP analytic).
     pub fn workload(mut self, w: Workload) -> Self {
-        self.workload = w;
+        self.cfg.workload = w;
         self
     }
 
     /// Feeds kernels 1–3 from an on-disk TSV edge list instead of the
     /// kernel-0 generator.
     pub fn input_tsv(mut self, path: impl Into<PathBuf>) -> Self {
-        self.input_tsv = Some(path.into());
+        self.cfg.input_tsv = Some(path.into());
         self
     }
 
     /// Fuses kernels 1 and 2 into a single streaming pass (CSR built
     /// straight from the sorted-run merge; bit-identical output).
     pub fn fused(mut self, on: bool) -> Self {
-        self.fused = on;
+        self.cfg.fused = on;
         self
+    }
+
+    /// The first bound the current values break, as the message every
+    /// surface reports: each row's own range, then the one cross-field
+    /// rule — the edge count `2^scale · edge_factor` must fit a `u64`.
+    fn violation(&self) -> Option<String> {
+        if let Some(f) = FIELDS.iter().find(|f| !(f.ok)(self)) {
+            return Some(f.reject());
+        }
+        // No row's bound is broken, so scale ≤ 57 and the shift is in range.
+        let (scale, k) = (self.scale, self.edge_factor);
+        ((1u64 << scale).checked_mul(k).is_none())
+            .then(|| format!("2^{scale} vertices x edge_factor {k} overflows the edge count"))
+    }
+
+    /// Finalizes a configuration built from outside data (a request body,
+    /// a command line): an out-of-range value is an `Err` naming the field
+    /// and what it accepts.
+    pub fn check(self) -> Result<PipelineConfig, String> {
+        match self.violation() {
+            Some(why) => Err(why),
+            None => Ok(self.build()),
+        }
     }
 
     /// Finalizes the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical values (zero files, damping outside (0, 1),
-    /// zero iterations) — these are programming errors, not runtime data.
+    /// Panics on the values [`PipelineConfigBuilder::check`] rejects (zero
+    /// files, damping outside (0, 1), zero iterations, …) — handed to a
+    /// setter by the program itself these are programming errors, not
+    /// runtime data.
     pub fn build(self) -> PipelineConfig {
-        assert!(self.num_files >= 1, "num_files must be at least 1");
-        assert!(
-            self.damping > 0.0 && self.damping < 1.0,
-            "damping must lie strictly between 0 and 1"
-        );
-        assert!(
-            self.iterations >= 1,
-            "at least one PageRank iteration required"
-        );
+        let why = self.violation();
+        assert!(why.is_none(), "{}", why.unwrap_or_default());
         PipelineConfig {
             spec: GraphSpec::new(self.scale, self.edge_factor),
-            seed: self.seed,
-            num_files: self.num_files,
-            generator: self.generator,
-            gen: self.gen,
-            permute_vertices: self.permute_vertices,
-            shuffle_edges: self.shuffle_edges,
-            variant: self.variant,
-            sort_key: self.sort_key,
-            sort_budget_bytes: self.sort_budget_bytes,
-            add_diagonal_to_empty: self.add_diagonal_to_empty,
-            damping: self.damping,
-            iterations: self.iterations,
-            dangling: self.dangling,
-            convergence_tolerance: self.convergence_tolerance,
-            validation: self.validation,
-            workload: self.workload,
-            input_tsv: self.input_tsv,
-            fused: self.fused,
+            ..self.cfg
         }
     }
 }
@@ -521,13 +753,169 @@ mod tests {
     }
 
     #[test]
-    fn canonical_fields_are_sorted_and_complete() {
+    fn canonical_hashes_are_the_ones_recorded_before_the_field_table() {
+        // Computed at a4fd8b0 by the hand-written `canonical_fields`: the
+        // cache identity of every stored result did not move.
+        let base = PipelineConfig::builder;
+        assert_eq!(base().build().canonical_hash(), 0x7c91_e964_99d4_70e6);
+        let fast = base()
+            .scale(17)
+            .variant(Variant::Parallel)
+            .fused(true)
+            .gen(RmatSampler::Linear)
+            .seed(7);
+        assert_eq!(fast.build().canonical_hash(), 0x5257_61e4_3e45_4ad6);
+        let every_field = base()
+            .scale(10)
+            .edge_factor(8)
+            .seed(42)
+            .num_files(2)
+            .generator(GeneratorKind::PerfectPowerLaw)
+            .permute_vertices(false)
+            .shuffle_edges(true)
+            .variant(Variant::Naive)
+            .sort_key(SortKey::StartEnd)
+            .sort_budget_bytes(5000)
+            .add_diagonal_to_empty(true)
+            .damping(0.9)
+            .iterations(5)
+            .dangling(DanglingStrategy::Sink)
+            .convergence_tolerance(1e-9)
+            .validation(ValidationLevel::Eigenvector)
+            .workload(Workload::Bfs);
+        assert_eq!(every_field.build().canonical_hash(), 0x8ee6_dd06_64bd_8e73);
+    }
+
+    /// A non-default value per field, as flag text.
+    fn sample(key: &str) -> &'static str {
+        match key {
+            "add_diagonal_to_empty" | "fused" | "shuffle_edges" => "true",
+            "permute_vertices" => "false",
+            "convergence_tolerance" => "1e-9",
+            "damping" => "0.5",
+            "dangling" => "sink",
+            "edge_factor" => "4",
+            "gen" => "linear",
+            "generator" => "ppl",
+            "input_tsv" => "/tmp/edges.tsv",
+            "iterations" => "5",
+            "num_files" => "3",
+            "scale" => "9",
+            "seed" => "7",
+            "sort_budget_bytes" => "1000",
+            "sort_key" => "start-end",
+            "validation" => "eigenvector",
+            "variant" => "naive",
+            "workload" => "bfs",
+            other => panic!("FIELDS grew a row the test has no sample for: {other}"),
+        }
+    }
+
+    #[test]
+    fn every_row_of_the_field_table_behaves_on_both_wires() {
+        let default_hash = PipelineConfig::builder().build().canonical_hash();
+        let hash_after = |f: &ConfigField, wire: Wire<'_>| {
+            let mut b = PipelineConfig::builder();
+            f.apply(&mut b, wire).map(|()| b.build().canonical_hash())
+        };
+        for f in &FIELDS {
+            let text = match f.cli {
+                Cli::Bare(_, implied) => implied,
+                _ => sample(f.key),
+            };
+            // The JSON spelling of the same value: a number or boolean
+            // where the text reads as one, a string otherwise.
+            let json = match Json::parse(text) {
+                Ok(v @ (Json::Uint(_) | Json::Number(_) | Json::Bool(_))) => v,
+                _ => Json::String(text.to_string()),
+            };
+            let via_text = hash_after(f, Wire::Text(text)).expect(f.key);
+            let via_json = hash_after(f, Wire::Json(&json)).expect(f.key);
+            assert_eq!(via_text, via_json, "{}: flag and JSON key disagree", f.key);
+            assert_ne!(via_text, default_hash, "{}: not in the hash", f.key);
+
+            let wrong_type = match json {
+                Json::String(_) => Json::Uint(1),
+                _ => Json::String("yes".to_string()),
+            };
+            let err = hash_after(f, Wire::Json(&wrong_type)).unwrap_err();
+            assert!(err.contains(f.key) && err.contains(f.accepts), "{err}");
+        }
+
+        let keys: Vec<&str> = FIELDS.iter().map(|f| f.key).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "sorted, no duplicates"
+        );
         let fields = PipelineConfig::builder().build().canonical_fields();
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "keys must come out sorted");
-        assert_eq!(keys.len(), 20, "one entry per PipelineConfig field");
+        assert_eq!(keys, fields.iter().map(|(k, _)| *k).collect::<Vec<_>>());
+        let closed_to_http: Vec<&str> = FIELDS.iter().filter(|f| !f.http).map(|f| f.key).collect();
+        assert_eq!(closed_to_http, ["input_tsv"]);
+    }
+
+    #[test]
+    fn accepts_text_lists_every_name_an_enum_parses() {
+        let listed = |key: &str, names: &[&str]| {
+            let f = FIELDS.iter().find(|f| f.key == key).unwrap();
+            let accepted: Vec<&str> = f.accepts.split('|').collect();
+            for name in names {
+                assert!(accepted.contains(name), "{key} omits {name}");
+            }
+        };
+        listed("variant", &Variant::ALL.map(Variant::name));
+        listed("workload", &Workload::ALL.map(Workload::name));
+        listed("generator", &GeneratorKind::ALL.map(GeneratorKind::name));
+        listed("gen", &RmatSampler::ALL.map(RmatSampler::name));
+        listed("dangling", &["omit", "redistribute", "sink"]);
+        listed("sort_key", &["start", "start-end"]);
+        listed(
+            "validation",
+            &["none", "invariants", "eigen", "eigenvector"],
+        );
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_on_the_wires_and_in_check() {
+        let set = |key: &str, text: &str| {
+            let f = FIELDS.iter().find(|f| f.key == key).unwrap();
+            let mut b = PipelineConfig::builder();
+            f.apply(&mut b, Wire::Text(text)).map(|()| b)
+        };
+        for (key, text) in [
+            ("damping", "1.5"),
+            ("damping", "0"),
+            ("damping", "nan"),
+            ("scale", "58"),
+            ("iterations", "0"),
+            ("iterations", "4294967296"),
+            ("num_files", "0"),
+            ("edge_factor", "0"),
+            ("convergence_tolerance", "-1"),
+            ("seed", "-1"),
+            ("fused", "yes"),
+        ] {
+            let err = set(key, text).map(|_| ()).unwrap_err();
+            assert!(err.starts_with(key), "{key}={text}: {err}");
+        }
+        // The same bounds guard values handed to the builder's setters.
+        let err = PipelineConfig::builder().damping(1.5).check().unwrap_err();
+        assert!(
+            err.contains("damping") && err.contains("between 0 and 1"),
+            "{err}"
+        );
+        assert!(PipelineConfig::builder().scale(60).check().is_err());
+
+        // The cross-field rule looks at the end state only: an edge factor
+        // of 2^50 overflows at the default scale 16 but fits at scale 4.
+        let dense = set("edge_factor", "1125899906842624").unwrap();
+        assert!(dense.clone().check().unwrap_err().contains("overflows"));
+        assert_eq!(dense.scale(4).check().unwrap().spec.num_edges(), 1 << 54);
+        let err = PipelineConfig::builder()
+            .scale(40)
+            .edge_factor(100_000_000)
+            .check()
+            .unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

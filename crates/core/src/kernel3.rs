@@ -32,8 +32,8 @@
 //! backend plugs in `ppbench_sparse::spmv::step_fused`, which does
 //! multiply + epilogue + delta in one sweep.
 //!
-//! [`run`] and [`step_with`] remain as compatibility wrappers and are
-//! bit-identical to their historical behavior: the carried mass
+//! The serial path is bit-identical to the historical allocate-per-step
+//! loop (kept as the test module's reference): the carried mass
 //! accumulates in the same flat order `vector::sum` uses, and
 //! [`DanglingInfo::mass`] adds ranks in the same ascending-index order the
 //! old masked scan did.
@@ -243,7 +243,7 @@ fn step_coeffs<'a>(
 ///
 /// `next` holds `r * A` on entry and the new rank vector on exit. The
 /// per-element expressions and the flat accumulation order match the
-/// historical `step_with` loops exactly, so serial results are
+/// historical per-step loops exactly, so serial results are
 /// bit-identical; in particular the delta accumulator adds in the same
 /// sequence as `vector::l1_distance` and the mass accumulator in the same
 /// sequence as `vector::sum`.
@@ -280,44 +280,6 @@ pub fn apply_epilogue(r: &[f64], next: &mut [f64], coeffs: &StepCoeffs<'_>) -> S
         }
     }
     StepOutcome { delta, mass }
-}
-
-/// One update under a dangling strategy. `dangling_rows[u]` flags rows
-/// with no out-edges in the (filtered, normalized) matrix.
-///
-/// Compatibility wrapper over [`apply_epilogue`]; allocates via `multiply`.
-/// The hot path is [`run_into`], which reuses buffers across iterations.
-pub fn step_with(
-    r: &[f64],
-    multiply: impl FnOnce(&[f64]) -> Vec<f64>,
-    dangling_rows: &[bool],
-    opts: &PageRankOptions,
-) -> Vec<f64> {
-    let n = r.len() as f64;
-    let c = opts.damping;
-    let teleport = (1.0 - c) * vector::sum(r) / n;
-    let spread = match opts.dangling {
-        DanglingStrategy::Redistribute => {
-            let dangling_mass: f64 = r
-                .iter()
-                .zip(dangling_rows)
-                .filter(|&(_, &d)| d)
-                .map(|(&x, _)| x)
-                .sum();
-            c * dangling_mass / n
-        }
-        _ => 0.0,
-    };
-    let sink = matches!(opts.dangling, DanglingStrategy::Sink).then_some(dangling_rows);
-    let coeffs = StepCoeffs {
-        damping: c,
-        teleport,
-        spread,
-        sink,
-    };
-    let mut next = multiply(r);
-    apply_epilogue(r, &mut next, &coeffs);
-    next
 }
 
 /// Runs kernel 3 with a buffer-writing stepper: double-buffered rank
@@ -374,8 +336,8 @@ pub fn run_into(
 
 /// Adapts a plain `r * A` closure into a [`run_into`] stepper: multiply,
 /// copy into the iteration buffer, apply the epilogue in place. This is
-/// the compatibility path for backends whose multiply allocates its own
-/// output; it reproduces the historical serial results bit for bit.
+/// the path for backends whose multiply allocates its own output; it
+/// reproduces the historical serial results bit for bit.
 pub fn serial_stepper<M>(
     mut multiply: M,
 ) -> impl FnMut(&[f64], &mut [f64], &StepCoeffs<'_>) -> StepOutcome
@@ -387,30 +349,6 @@ where
         next.copy_from_slice(&prod);
         apply_epilogue(r, next, coeffs)
     }
-}
-
-/// Runs kernel 3 under full options: dangling strategy and optional
-/// convergence stopping.
-///
-/// Compatibility wrapper: precomputes [`DanglingInfo`] from the mask and
-/// drives [`run_into`] with a [`serial_stepper`].
-///
-/// # Panics
-///
-/// Panics if `dangling_rows.len() != r0.len()`.
-pub fn run(
-    r0: Vec<f64>,
-    multiply: impl FnMut(&[f64]) -> Vec<f64>,
-    dangling_rows: &[bool],
-    opts: &PageRankOptions,
-) -> PageRankRun {
-    assert_eq!(
-        dangling_rows.len(),
-        r0.len(),
-        "dangling mask length mismatch"
-    );
-    let info = DanglingInfo::from_mask(dangling_rows);
-    run_into(r0, serial_stepper(multiply), &info, opts)
 }
 
 /// The L1 mass retained after a run. With no dangling rows this stays at
@@ -425,6 +363,52 @@ pub fn rank_mass(r: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use ppbench_sparse::{eigen, ops, spmv, Coo, Csr};
+
+    /// The historical allocate-per-step update — fresh-sum teleport, masked
+    /// dangling scan — that [`run_into`] must reproduce bit for bit.
+    fn step_with(
+        r: &[f64],
+        multiply: impl FnOnce(&[f64]) -> Vec<f64>,
+        dangling_rows: &[bool],
+        opts: &PageRankOptions,
+    ) -> Vec<f64> {
+        let n = r.len() as f64;
+        let c = opts.damping;
+        let teleport = (1.0 - c) * vector::sum(r) / n;
+        let spread = match opts.dangling {
+            DanglingStrategy::Redistribute => {
+                let dangling_mass: f64 = r
+                    .iter()
+                    .zip(dangling_rows)
+                    .filter(|&(_, &d)| d)
+                    .map(|(&x, _)| x)
+                    .sum();
+                c * dangling_mass / n
+            }
+            _ => 0.0,
+        };
+        let sink = matches!(opts.dangling, DanglingStrategy::Sink).then_some(dangling_rows);
+        let coeffs = StepCoeffs {
+            damping: c,
+            teleport,
+            spread,
+            sink,
+        };
+        let mut next = multiply(r);
+        apply_epilogue(r, &mut next, &coeffs);
+        next
+    }
+
+    /// [`run_into`] the way the serial backends drive it.
+    fn run(
+        r0: Vec<f64>,
+        multiply: impl FnMut(&[f64]) -> Vec<f64>,
+        dangling_rows: &[bool],
+        opts: &PageRankOptions,
+    ) -> PageRankRun {
+        let info = DanglingInfo::from_mask(dangling_rows);
+        run_into(r0, serial_stepper(multiply), &info, opts)
+    }
 
     fn ring(n: u64) -> Csr<f64> {
         let mut coo = Coo::<u64>::new(n, n);
@@ -677,7 +661,7 @@ mod tests {
 
     #[test]
     fn run_is_bit_identical_to_the_legacy_step_loop() {
-        // The compatibility wrapper must reproduce the historical
+        // The buffer-reusing driver must reproduce the historical
         // iteration exactly: fresh-sum teleport, masked dangling scan,
         // post-hoc l1_distance.
         let mut coo = Coo::<u64>::new(6, 6);

@@ -61,6 +61,7 @@ pub mod validate;
 pub mod workload;
 
 pub use backend::Variant;
+pub use config::{Cli, ConfigField, Wire, FIELDS};
 pub use config::{PipelineConfig, PipelineConfigBuilder, ValidationLevel};
 pub use error::{Error, Result};
 pub use fused::FusedOutcome;

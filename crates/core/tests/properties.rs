@@ -165,7 +165,12 @@ fn check_fused_against_oracle(a: &Csr<f64>, seed: u64, chunks: usize) -> f64 {
             tolerance: None,
         };
         let r0 = kernel3::init_ranks(a.rows(), seed);
-        let oracle = kernel3::run(r0.clone(), |x| spmv::vxm(x, a), &mask, &opts);
+        let oracle = kernel3::run_into(
+            r0.clone(),
+            kernel3::serial_stepper(|x| spmv::vxm(x, a)),
+            &info,
+            &opts,
+        );
         let fused = kernel3::run_into(
             r0.clone(),
             |r, next, coeffs| spmv::step_fused(r, &narrow.view(), next, coeffs, &boundaries),

@@ -336,7 +336,7 @@ fn summary_from_json(text: &str, expect_hash: u64) -> Result<RunSummary, String>
             "entry hash {hash:016x} does not match file name {expect_hash:016x}"
         ));
     }
-    let record = record_from_json(v.get("record").ok_or("missing record")?)?;
+    let record = RunRecord::from_json(v.get("record").ok_or("missing record")?)?;
     let ranks_hex = v
         .get("ranks_hex")
         .and_then(Json::as_str)
@@ -365,78 +365,6 @@ fn ranks_from_hex(hex: &str) -> Result<Vec<f64>, String> {
         ranks.push(f64::from_bits(bits));
     }
     Ok(ranks)
-}
-
-/// Parses the `RunRecord` JSON produced by
-/// [`RunRecord::to_json`](ppbench_core::RunRecord::to_json). Seconds and
-/// rates round-trip bit-exactly because `to_json` emits shortest
-/// round-trip decimals.
-fn record_from_json(v: &Json) -> Result<RunRecord, String> {
-    if v.get("record").and_then(Json::as_str) != Some("ppbench-run-v1") {
-        return Err("record is not ppbench-run-v1".into());
-    }
-    let str_field = |key: &str| -> Result<String, String> {
-        v.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or(format!("record is missing {key}"))
-    };
-    let mut kernels: [Option<(f64, f64)>; 4] = [None; 4];
-    let Some(Json::Array(entries)) = v.get("kernels") else {
-        return Err("record is missing kernels".into());
-    };
-    for entry in entries {
-        let k = entry
-            .get("kernel")
-            .and_then(Json::as_u64)
-            .filter(|&k| k < 4)
-            .ok_or("bad kernel index")?;
-        let secs = entry
-            .get("seconds")
-            .and_then(Json::as_f64)
-            .ok_or("bad kernel seconds")?;
-        let rate = entry
-            .get("edges_per_second")
-            .and_then(Json::as_f64)
-            .ok_or("bad kernel rate")?;
-        if let Some(slot) = kernels.get_mut(k as usize) {
-            *slot = Some((secs, rate));
-        }
-    }
-    let opt = |key: &str| match v.get(key) {
-        None | Some(Json::Null) => None,
-        Some(other) => Some(other.clone()),
-    };
-    let validation_passed = match opt("validation_passed") {
-        None => None,
-        Some(j) => Some(j.as_bool().ok_or("bad validation_passed")?),
-    };
-    let threads = match opt("threads") {
-        None => None,
-        Some(j) => Some(j.as_u64().ok_or("bad threads")?),
-    };
-    let checksum = match opt("checksum") {
-        None => None,
-        Some(j) => Some(
-            j.as_str()
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or("bad checksum")?,
-        ),
-    };
-    Ok(RunRecord {
-        variant: str_field("variant")?,
-        workload: str_field("workload")?,
-        scale: v
-            .get("scale")
-            .and_then(Json::as_u64)
-            .and_then(|s| u32::try_from(s).ok())
-            .ok_or("bad scale")?,
-        edges: v.get("edges").and_then(Json::as_u64).ok_or("bad edges")?,
-        kernels,
-        validation_passed,
-        threads,
-        checksum,
-    })
 }
 
 #[cfg(test)]
@@ -644,20 +572,32 @@ mod tests {
     }
 
     #[test]
-    fn record_json_roundtrips_through_the_serve_parser() {
-        let record = disk_summary().record;
-        let parsed = record_from_json(&Json::parse(&record.to_json()).unwrap()).unwrap();
-        assert_eq!(parsed, record);
-        // Optional fields as nulls.
-        let mut bare = record.clone();
-        bare.validation_passed = None;
-        bare.threads = None;
-        bare.checksum = None;
-        let parsed = record_from_json(&Json::parse(&bare.to_json()).unwrap()).unwrap();
-        assert_eq!(parsed, bare);
-        // Malformed records are rejected, not defaulted.
-        assert!(record_from_json(&Json::parse("{}").unwrap()).is_err());
-        let wrong_tag = record.to_json().replace("ppbench-run-v1", "ppbench-run-v9");
-        assert!(record_from_json(&Json::parse(&wrong_tag).unwrap()).is_err());
+    fn an_entry_written_by_the_parent_build_still_loads_and_rewrites_identically() {
+        // `run-b1c3d8ff526127f5.json` as `ppserved` wrote it at a4fd8b0,
+        // before the record parser moved into core, for the body
+        // {"scale":3,"edge_factor":2,"seed":5}.
+        const ENTRY: &str = r#"{"hash":"b1c3d8ff526127f5","ranks_hex":"3dfdc4c5066c503e3dfdc4c5066c503e3dfdc4c5066c503e3e34592263088f8e3e1d0796a58900ec3dfdc4c5066c503e3dfdc4c5066c503e3dfdc4c5066c503e","record":{"checksum":null,"edges":16,"kernels":[{"edges_per_second":4332.578471796674,"kernel":0,"seconds":0.003692951},{"edges_per_second":14391.181084231584,"kernel":1,"seconds":0.001111792},{"edges_per_second":413116.4471985541,"kernel":2,"seconds":0.00003873},{"edges_per_second":67667582.99851978,"kernel":3,"seconds":0.000004729}],"record":"ppbench-run-v1","scale":3,"threads":null,"validation_passed":true,"variant":"optimized","workload":"pagerank"},"schema":"ppbench-serve-cache-v1","total_seconds":0.005734252}"#;
+        let hash = 0xb1c3_d8ff_5261_27f5;
+        let dir = tmp_dir("parent-entry");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("run-{hash:016x}.json")), ENTRY).unwrap();
+        let mut disk = DiskCache::open(&dir, 1 << 20).unwrap();
+        let revived = disk.get(hash).expect("a parent-written entry revives");
+        assert_eq!(revived.record.workload, "pagerank");
+        assert_eq!(
+            revived.record.kernels[3],
+            Some((0.000004729, 67667582.99851978))
+        );
+        assert_eq!(
+            (revived.record.threads, revived.record.checksum),
+            (None, None)
+        );
+        assert_eq!(revived.ranks.len(), 8);
+        assert_eq!(
+            summary_to_json(hash, &revived),
+            ENTRY,
+            "on-disk format moved"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,225 +1,45 @@
 //! Translating a `POST /runs` JSON body into a [`PipelineConfig`].
 //!
-//! Unknown fields are rejected (a typoed knob silently falling back to its
-//! default would corrupt a benchmark comparison), and builder invariants
-//! are checked here with proper errors instead of letting the builder
-//! panic inside a worker.
+//! The body is read through the one field table (`ppbench_core::FIELDS`):
+//! a key is accepted exactly when its row says HTTP may set it, and the
+//! row types and range-checks the value. Unknown fields are rejected (a
+//! typoed knob silently falling back to its default would corrupt a
+//! benchmark comparison), and out-of-range values come back as proper
+//! errors instead of a builder panic inside a worker.
 
-use ppbench_core::{DanglingStrategy, PipelineConfig, ValidationLevel, Variant, Workload};
-use ppbench_gen::{GeneratorKind, RmatSampler};
-use ppbench_sort::SortKey;
+use ppbench_core::{PipelineConfig, Wire, FIELDS};
 
 use crate::Json;
 
-/// Fields `POST /runs` accepts, mirroring `PipelineConfig` one to one —
-/// except `input_tsv`, which is deliberately not exposed: letting HTTP
-/// clients name server-side paths would be a file-disclosure hazard, so
-/// TSV ingestion stays a CLI/library feature.
-pub const ACCEPTED_FIELDS: [&str; 19] = [
-    "add_diagonal_to_empty",
-    "convergence_tolerance",
-    "damping",
-    "dangling",
-    "edge_factor",
-    "fused",
-    "gen",
-    "generator",
-    "iterations",
-    "num_files",
-    "permute_vertices",
-    "scale",
-    "seed",
-    "shuffle_edges",
-    "sort_budget_bytes",
-    "sort_key",
-    "validation",
-    "variant",
-    "workload",
-];
-
 /// Builds a [`PipelineConfig`] from a parsed JSON object. Every field is
-/// optional; omitted fields keep the spec defaults. Returns a
+/// optional; omitted (or `null`) fields keep the spec defaults. Returns a
 /// human-readable message on the first problem found.
 pub fn config_from_json(body: &Json) -> Result<PipelineConfig, String> {
-    if !matches!(body, Json::Object(_)) {
+    let Json::Object(members) = body else {
         return Err("request body must be a JSON object".to_string());
-    }
-    for key in body.keys() {
-        if !ACCEPTED_FIELDS.contains(&key) {
+    };
+    let mut builder = PipelineConfig::builder();
+    for (key, value) in members {
+        let Some(field) = FIELDS.iter().find(|f| f.http && f.key == key) else {
+            let accepted: Vec<&str> = FIELDS.iter().filter(|f| f.http).map(|f| f.key).collect();
             return Err(format!(
                 "unknown field {key:?}; accepted fields: {}",
-                ACCEPTED_FIELDS.join(", ")
+                accepted.join(", ")
             ));
+        };
+        if *value != Json::Null {
+            field.apply(&mut builder, Wire::Json(value))?;
         }
     }
-
-    let u64_field = |name: &str| -> Result<Option<u64>, String> {
-        match body.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("{name} must be a non-negative integer")),
-        }
-    };
-    let f64_field = |name: &str| -> Result<Option<f64>, String> {
-        match body.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .filter(|f| f.is_finite())
-                .map(Some)
-                .ok_or_else(|| format!("{name} must be a finite number")),
-        }
-    };
-    let bool_field = |name: &str| -> Result<Option<bool>, String> {
-        match body.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_bool()
-                .map(Some)
-                .ok_or_else(|| format!("{name} must be a boolean")),
-        }
-    };
-    let str_field = |name: &str| -> Result<Option<&str>, String> {
-        match body.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(Some)
-                .ok_or_else(|| format!("{name} must be a string")),
-        }
-    };
-
-    let mut b = PipelineConfig::builder();
-    let scale = u64_field("scale")?;
-    if let Some(scale) = scale {
-        // GraphSpec::new panics for scale >= 58 (generator index
-        // arithmetic); mirror its limit here as a proper error.
-        if scale > 57 {
-            return Err("scale must be at most 57".to_string());
-        }
-        b = b.scale(scale as u32);
-    }
-    let edge_factor = u64_field("edge_factor")?;
-    if let Some(k) = edge_factor {
-        if k == 0 {
-            return Err("edge_factor must be at least 1".to_string());
-        }
-        b = b.edge_factor(k);
-    }
-    // The combination must also be representable: GraphSpec::new panics
-    // when 2^scale * edge_factor overflows u64. Omitted fields take the
-    // builder defaults (scale 16, edge factor 16).
-    let eff_scale = scale.unwrap_or(16) as u32;
-    let eff_factor = edge_factor.unwrap_or(ppbench_gen::DEFAULT_EDGE_FACTOR);
-    if (1u64 << eff_scale).checked_mul(eff_factor).is_none() {
-        return Err(format!(
-            "2^{eff_scale} vertices x edge_factor {eff_factor} overflows the edge count"
-        ));
-    }
-    if let Some(seed) = u64_field("seed")? {
-        b = b.seed(seed);
-    }
-    if let Some(n) = u64_field("num_files")? {
-        if n == 0 {
-            return Err("num_files must be at least 1".to_string());
-        }
-        b = b.num_files(n as usize);
-    }
-    if let Some(name) = str_field("generator")? {
-        let g = GeneratorKind::parse(name).ok_or_else(|| {
-            format!("unknown generator {name:?} (kronecker, ppl, erdos-renyi, bter)")
-        })?;
-        b = b.generator(g);
-    }
-    if let Some(name) = str_field("gen")? {
-        let g = RmatSampler::parse(name)
-            .ok_or_else(|| format!("unknown gen {name:?} (faithful, linear)"))?;
-        b = b.gen(g);
-    }
-    if let Some(on) = bool_field("permute_vertices")? {
-        b = b.permute_vertices(on);
-    }
-    if let Some(on) = bool_field("shuffle_edges")? {
-        b = b.shuffle_edges(on);
-    }
-    if let Some(name) = str_field("variant")? {
-        let v = Variant::parse(name).ok_or_else(|| {
-            format!(
-                "unknown variant {name:?} ({})",
-                Variant::ALL.map(|v| v.name()).join(", ")
-            )
-        })?;
-        b = b.variant(v);
-    }
-    if let Some(name) = str_field("sort_key")? {
-        b = b.sort_key(match name {
-            "start" => SortKey::Start,
-            "start-end" => SortKey::StartEnd,
-            other => return Err(format!("unknown sort_key {other:?} (start, start-end)")),
-        });
-    }
-    if let Some(budget) = u64_field("sort_budget_bytes")? {
-        b = b.sort_budget_bytes(budget);
-    }
-    if let Some(on) = bool_field("add_diagonal_to_empty")? {
-        b = b.add_diagonal_to_empty(on);
-    }
-    if let Some(on) = bool_field("fused")? {
-        b = b.fused(on);
-    }
-    if let Some(c) = f64_field("damping")? {
-        if !(c > 0.0 && c < 1.0) {
-            return Err("damping must lie strictly between 0 and 1".to_string());
-        }
-        b = b.damping(c);
-    }
-    if let Some(n) = u64_field("iterations")? {
-        if n == 0 || n > u32::MAX as u64 {
-            return Err("iterations must be between 1 and 2^32-1".to_string());
-        }
-        b = b.iterations(n as u32);
-    }
-    if let Some(name) = str_field("dangling")? {
-        let d = DanglingStrategy::parse(name).ok_or_else(|| {
-            format!("unknown dangling strategy {name:?} (omit, redistribute, sink)")
-        })?;
-        b = b.dangling(d);
-    }
-    if let Some(tol) = f64_field("convergence_tolerance")? {
-        if tol <= 0.0 {
-            return Err("convergence_tolerance must be positive".to_string());
-        }
-        b = b.convergence_tolerance(tol);
-    }
-    if let Some(name) = str_field("workload")? {
-        let w = Workload::parse(name).ok_or_else(|| {
-            format!(
-                "unknown workload {name:?} ({})",
-                Workload::ALL.map(|w| w.name()).join(", ")
-            )
-        })?;
-        b = b.workload(w);
-    }
-    if let Some(name) = str_field("validation")? {
-        b = b.validation(match name {
-            "none" => ValidationLevel::None,
-            "invariants" => ValidationLevel::Invariants,
-            "eigen" | "eigenvector" => ValidationLevel::Eigenvector,
-            other => {
-                return Err(format!(
-                    "unknown validation level {other:?} (none, invariants, eigen)"
-                ))
-            }
-        });
-    }
-    Ok(b.build())
+    builder.check()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppbench_core::{DanglingStrategy, ValidationLevel, Variant, Workload};
+    use ppbench_gen::{GeneratorKind, RmatSampler};
+    use ppbench_sort::SortKey;
 
     fn parse(body: &str) -> Result<PipelineConfig, String> {
         config_from_json(&Json::parse(body).expect("test body is valid JSON"))

@@ -6,8 +6,10 @@
 //! alternative is to precompute `Aᵀ` and **gather**: `out[v]` is a dot
 //! product over the incoming edges of `v`. The two forms are numerically
 //! reordered but algebraically identical; the gather form has no write
-//! contention and is what the rayon-parallel kernel uses. Both are exposed
-//! so the ablation bench (scatter vs gather) can measure the difference.
+//! contention and is what the rayon-parallel kernel uses. The serial
+//! backends scatter ([`vxm_into`]); the gather is [`mxv`] over a
+//! precomputed transpose, which is also what the ablation bench times
+//! against the scatter.
 //!
 //! The hot-path kernels at the bottom of this module go further, following
 //! the GAP Benchmark Suite playbook for power-law graphs:
@@ -16,15 +18,15 @@
 //!   *nonzero* span (binary search on the `row_ptr` offsets), so one hub
 //!   row cannot serialize a whole chunk the way equal-row partitioning
 //!   does;
-//! * [`gather_into`] runs the partitioned gather into a caller-provided
-//!   buffer — no per-iteration allocation;
-//! * [`step_fused`] additionally applies the PageRank epilogue
-//!   (`c·x + teleport (+ dangling term)`) and accumulates the L1 delta and
-//!   the new mass in the same pass, collapsing the three memory sweeps of
-//!   the naive iteration (multiply, scale-and-shift, distance) into one.
+//! * [`step_fused`] runs the partitioned gather into a caller-provided
+//!   buffer — no per-iteration allocation — and in the same pass applies
+//!   the PageRank epilogue (`c·x + teleport (+ dangling term)`) and
+//!   accumulates the L1 delta and the new mass, collapsing the three
+//!   memory sweeps of the naive iteration (multiply, scale-and-shift,
+//!   distance) into one.
 //!
-//! All three are generic over the column-index width via [`CsrView`], so
-//! the narrow `u32` form ([`crate::Csr32`]) shares this implementation.
+//! It is generic over the column-index width via [`CsrView`], so the
+//! narrow `u32` form ([`crate::Csr32`]) shares this implementation.
 
 use rayon::prelude::*;
 
@@ -81,40 +83,12 @@ pub fn mxv(a: &Csr<f64>, x: &[f64]) -> Vec<f64> {
         a.cols(),
         "vector length must equal column count"
     );
-    // Shares the unrolled [`gather_row`] dot with the parallel kernels, so
-    // every gather form produces bit-identical rows.
+    // Shares the unrolled [`gather_row`] dot with [`step_fused`], so both
+    // gather forms produce bit-identical rows.
     let view = a.view();
     (0..a.rows() as usize)
         .map(|r| gather_row(x, &view, r))
         .collect()
-}
-
-/// Gather form of `x * A`, reading a precomputed transpose: pass
-/// `at = a.transpose()` and this equals [`vxm`]`(x, a)` up to floating-point
-/// reassociation.
-pub fn vxm_gather(x: &[f64], at: &Csr<f64>) -> Vec<f64> {
-    mxv(at, x)
-}
-
-/// Rayon-parallel gather `x * A` over a precomputed transpose. Each output
-/// element is an independent reduction, so no synchronization is needed.
-///
-/// Partitions into one nnz-balanced chunk per worker and writes each chunk
-/// through a disjoint output slice — a fixed number of tasks over one
-/// allocation, instead of a task (and several intermediate vectors) per
-/// row, which is what made this kernel lose to its serial twin in the
-/// committed sweeps.
-pub fn par_vxm_gather(x: &[f64], at: &Csr<f64>) -> Vec<f64> {
-    assert_eq!(
-        x.len() as u64,
-        at.cols(),
-        "vector length must equal A's row count"
-    );
-    let mut out = vec![0.0; at.rows() as usize];
-    let chunks = rayon::current_num_threads().max(1);
-    let boundaries = balanced_boundaries(at.row_ptr(), chunks);
-    gather_into(x, &at.view(), &mut out, &boundaries);
-    out
 }
 
 /// Partitions rows `0..rows` into `chunks` contiguous ranges of roughly
@@ -193,44 +167,6 @@ fn gather_row<I: ColIndex>(x: &[f64], at: &CsrView<'_, I>, r: usize) -> f64 {
         sum += x[c.to_index()] * w;
     }
     sum
-}
-
-/// nnz-balanced parallel gather `x * A` over a precomputed transpose view,
-/// writing into a caller-provided buffer. Equals [`vxm`] up to
-/// floating-point reassociation; allocates nothing besides the per-chunk
-/// bookkeeping.
-///
-/// `boundaries` comes from [`balanced_boundaries`]`(at.row_ptr(), chunks)`
-/// and is computed once per run, not per iteration.
-///
-/// # Panics
-///
-/// Panics if `x.len() != at.cols()`, `out.len() != at.rows()`, or the
-/// boundary list does not span `0..at.rows()`.
-pub fn gather_into<I: ColIndex>(
-    x: &[f64],
-    at: &CsrView<'_, I>,
-    out: &mut [f64],
-    boundaries: &[usize],
-) {
-    assert_eq!(
-        x.len() as u64,
-        at.cols(),
-        "vector length must equal A's row count"
-    );
-    assert_eq!(
-        out.len() as u64,
-        at.rows(),
-        "output length must equal A's column count"
-    );
-    chunk_slices(out, boundaries)
-        .into_par_iter()
-        .map(|(slice, lo)| {
-            for (k, o) in slice.iter_mut().enumerate() {
-                *o = gather_row(x, at, lo + k);
-            }
-        })
-        .collect::<Vec<()>>();
 }
 
 /// The per-iteration PageRank coefficients [`step_fused`] applies on top
@@ -367,11 +303,9 @@ mod tests {
         let at = a.transpose();
         let x = [0.3, 0.5, 0.2];
         let scatter = vxm(&x, &a);
-        let gather = vxm_gather(&x, &at);
-        let par = par_vxm_gather(&x, &at);
+        let gather = mxv(&at, &x);
         for i in 0..3 {
             assert!((scatter[i] - gather[i]).abs() < 1e-15);
-            assert!((scatter[i] - par[i]).abs() < 1e-15);
         }
     }
 
@@ -454,28 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_matches_scatter_for_both_index_widths() {
-        let a = skewed();
-        let at = a.transpose();
-        let x: Vec<f64> = (0..6).map(|i| (i as f64 + 1.0) / 21.0).collect();
-        let oracle = vxm(&x, &a);
-        for chunks in 1..=5 {
-            let b = balanced_boundaries(at.row_ptr(), chunks);
-            let mut out = vec![f64::NAN; 6];
-            gather_into(&x, &at.view(), &mut out, &b);
-            for v in 0..6 {
-                assert!((out[v] - oracle[v]).abs() < 1e-14);
-            }
-            let narrow = crate::Csr32::try_from_wide(&at).unwrap();
-            let mut out32 = vec![f64::NAN; 6];
-            gather_into(&x, &narrow.view(), &mut out32, &b);
-            for v in 0..6 {
-                assert_eq!(out32[v].to_bits(), out[v].to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn step_fused_matches_unfused_pipeline() {
         let a = skewed();
         let at = a.transpose();
@@ -539,12 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernels_work_on_the_empty_matrix() {
+    fn fused_step_works_on_the_empty_matrix() {
         let a = Csr::<f64>::zero(0, 0);
         let at = a.transpose();
         let b = balanced_boundaries(at.row_ptr(), 4);
         let mut out: Vec<f64> = Vec::new();
-        gather_into(&[], &at.view(), &mut out, &b);
         let got = step_fused(
             &[],
             &at.view(),

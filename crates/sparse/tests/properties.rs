@@ -66,7 +66,7 @@ proptest! {
         }
     }
 
-    /// Scatter, gather, and parallel-gather forms all agree.
+    /// Scatter (`x * A`) and gather over the transpose (`Aᵀ * x`) agree.
     #[test]
     fn spmv_forms_agree(
         triplets in arb_triplets(10, 60),
@@ -75,11 +75,9 @@ proptest! {
         let a = build(10, &triplets).map(|_, _, v| v as f64);
         let at = a.transpose();
         let scatter = spmv::vxm(&x, &a);
-        let gather = spmv::vxm_gather(&x, &at);
-        let par = spmv::par_vxm_gather(&x, &at);
+        let gather = spmv::mxv(&at, &x);
         for i in 0..10 {
             prop_assert!((scatter[i] - gather[i]).abs() < 1e-10);
-            prop_assert!((scatter[i] - par[i]).abs() < 1e-10);
         }
     }
 
@@ -227,9 +225,10 @@ proptest! {
     }
 
     /// Balanced boundaries always partition the row range monotonically,
-    /// and the parallel gather over them is bitwise identical to the
-    /// serial gather — for any chunk count, on hub-skewed matrices, with
-    /// wide and narrow column indices.
+    /// and the chunked parallel gather inside `step_fused` (run with the
+    /// identity epilogue) is bitwise identical to the serial gather — for
+    /// any chunk count, on hub-skewed matrices, with wide and narrow
+    /// column indices.
     #[test]
     fn balanced_gather_matches_serial_gather(
         triplets in arb_skewed_triplets(11, 90),
@@ -243,13 +242,14 @@ proptest! {
         prop_assert_eq!(boundaries[0], 0);
         prop_assert_eq!(*boundaries.last().unwrap(), 11);
         prop_assert!(boundaries.windows(2).all(|w| w[0] <= w[1]));
-        let serial = spmv::vxm_gather(&x, &at);
+        let serial = spmv::mxv(&at, &x);
+        let identity = spmv::StepCoeffs { damping: 1.0, teleport: 0.0, spread: 0.0, sink: None };
         let mut wide = vec![0.0; 11];
-        spmv::gather_into(&x, &at.view(), &mut wide, &boundaries);
+        spmv::step_fused(&x, &at.view(), &mut wide, &identity, &boundaries);
         prop_assert_eq!(&wide, &serial);
         let narrow = Csr32::try_from_wide(&at).unwrap();
         let mut out32 = vec![0.0; 11];
-        spmv::gather_into(&x, &narrow.view(), &mut out32, &boundaries);
+        spmv::step_fused(&x, &narrow.view(), &mut out32, &identity, &boundaries);
         prop_assert_eq!(&out32, &serial);
     }
 
