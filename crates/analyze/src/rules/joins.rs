@@ -1,15 +1,17 @@
 //! `join-order` — shutdown ordering between channels and thread joins.
 //!
 //! The deadlock this automates (PR 4 found it by hand in the pipelined
-//! sorter): a worker loops on a channel until the far endpoint closes; the
-//! coordinating thread calls `handle.join()` *first* and only drops its
-//! endpoint afterwards. The worker never sees the hangup, the join never
-//! returns. The sound shape keeps every `drop(endpoint)` **before** the
-//! joins, which is exactly what `pipelined.rs` does today:
+//! sorter, since deleted): a worker loops on a channel until the far
+//! endpoint closes; the coordinating thread calls `handle.join()` *first*
+//! and only drops its endpoint afterwards. The worker never sees the
+//! hangup, the join never returns. The sound shape keeps every
+//! `drop(endpoint)` **before** the joins, which is what that sorter did
+//! and what the channel-fed threads that remain — the `ppbench-dist`
+//! fabric and the `ppbench-serve` workers — must keep doing:
 //!
 //! ```text
-//! drop(out_rx);                 // unblocks a sorter stuck on send()
-//! sorter_thread.join()          // now guaranteed to finish
+//! drop(out_rx);                 // unblocks a worker stuck on send()
+//! worker.join()                 // now guaranteed to finish
 //! ```
 //!
 //! Detection is per-function: bindings from

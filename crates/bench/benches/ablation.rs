@@ -49,13 +49,17 @@ fn bench_sort_algorithms(c: &mut Criterion) {
         let budget = edges.len() / 8;
         b.iter(|| {
             let sorter = ExternalSorter::new(td.path(), budget, SortKey::Start).unwrap();
-            let mut n = 0u64;
-            sorter
-                .sort(edges.iter().map(|&e| Ok(e)), |_| {
-                    n += 1;
-                    Ok(())
-                })
-                .unwrap();
+            let mut writer = sorter.run_writer().unwrap();
+            for &e in &edges {
+                writer.push(e).unwrap();
+            }
+            let mut n = 0usize;
+            let runs = writer.finish().unwrap();
+            runs.for_each_batch(|batch| {
+                n += batch.len();
+                Ok(())
+            })
+            .unwrap();
             n
         });
     });
@@ -66,7 +70,7 @@ fn build_matrix() -> Csr<f64> {
     let (spec, mut edges) = test_edges();
     ppbench_sort::radix_sort(&mut edges, SortKey::Start);
     let tuples: Vec<(u64, u64)> = edges.iter().map(|e| (e.u, e.v)).collect();
-    let counts = Csr::<u64>::from_sorted_edges(spec.num_vertices(), &tuples);
+    let counts = Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), tuples.iter().copied());
     ops::normalize_rows(&counts)
 }
 

@@ -137,12 +137,12 @@ fn bench_matrix_construction(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     group.bench_function("csr-from-sorted-edges", |b| {
-        b.iter(|| Csr::<u64>::from_sorted_edges(spec.num_vertices(), &tuples));
+        b.iter(|| Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), tuples.iter().copied()));
     });
     group.bench_function("csr-via-coo", |b| {
         b.iter(|| Coo::<u64>::from_edges(spec.num_vertices(), tuples.iter().copied()).compress());
     });
-    let counts = Csr::<u64>::from_sorted_edges(spec.num_vertices(), &tuples);
+    let counts = Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), tuples.iter().copied());
     group.bench_function("normalize-rows", |b| {
         b.iter(|| ops::normalize_rows(&counts))
     });
@@ -158,7 +158,7 @@ fn bench_eigensolver(c: &mut Criterion) {
     let mut edges = ppbench_gen::Kronecker::new(spec, 4).edges();
     ppbench_sort::radix_sort(&mut edges, ppbench_sort::SortKey::Start);
     let tuples: Vec<(u64, u64)> = edges.iter().map(|e| (e.u, e.v)).collect();
-    let counts = Csr::<u64>::from_sorted_edges(spec.num_vertices(), &tuples);
+    let counts = Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), tuples.iter().copied());
     let a = ops::normalize_rows(&ops::add_diagonal_where(
         &counts,
         |i| counts.row_nnz(i) == 0,

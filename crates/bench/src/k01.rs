@@ -4,12 +4,11 @@
 //! writes the generated edge list "to files on non-volatile storage as
 //! pairs of tab separated numeric strings", and kernel 1 reads it back,
 //! sorts by start vertex, and writes it again. This module measures the
-//! three kernel-0 write strategies (full materialization, serial
-//! streaming, sharded parallel streaming) under each requested R-MAT
-//! sampler (`faithful` per-level recursion vs the `linear` block-table
-//! sampler) and the three kernel-1 sort paths (in-memory, plain external
-//! merge, pipelined external merge), each swept over explicit thread
-//! counts and scales. Results land in `BENCH_k01.json` as canonical JSON
+//! two kernel-0 write strategies (serial streaming, sharded parallel
+//! streaming) under each requested R-MAT sampler (`faithful` per-level
+//! recursion vs the `linear` block-table sampler) and kernel 1 within and
+//! beyond its memory budget (in-memory, external merge), each swept over
+//! explicit thread counts and scales. Results land in `BENCH_k01.json` as canonical JSON
 //! (sorted keys, shortest-roundtrip floats, rendered by
 //! `ppbench_core::json`), giving later PRs a baseline to beat;
 //! `ppsweep check` re-validates that file's schema — including a >1%
@@ -30,8 +29,8 @@ use std::path::Path;
 use ppbench_core::{kernel0, kernel1, PipelineConfig, Stopwatch};
 use ppbench_gen::RmatSampler;
 use ppbench_io::tempdir::TempDir;
-use ppbench_io::{EdgeReader, EdgeWriter, Manifest, SortState, BYTES_PER_EDGE};
-use ppbench_sort::{Algorithm, ExternalSorter, SortKey};
+use ppbench_io::{Manifest, BYTES_PER_EDGE};
+use ppbench_sort::SortKey;
 
 use ppbench_core::json::Json;
 
@@ -43,9 +42,6 @@ use crate::harness::{
 /// The kernel-0 write strategies under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum K0Variant {
-    /// The historical path: generate the whole edge vector in parallel,
-    /// then hand it to the writer — peak resident memory is the full list.
-    Materialize,
     /// Serial chunked streaming through one writer ([`kernel0::write_streamed`]).
     Stream,
     /// One parallel writer per output file, each streaming its contiguous
@@ -54,32 +50,27 @@ pub enum K0Variant {
 }
 
 /// Every kernel-0 variant, measurement order (the first is the reference).
-pub const K0_VARIANTS: [Variant<K0Variant>; 3] = [
-    (K0Variant::Materialize, "materialize", true),
+pub const K0_VARIANTS: [Variant<K0Variant>; 2] = [
     (K0Variant::Stream, "stream", false),
     (K0Variant::Sharded, "sharded", true),
 ];
 
-/// The kernel-1 sort paths under measurement.
+/// Kernel 1 ([`kernel1::sort_file_set`]) on either side of its budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum K1Variant {
-    /// Whole list in RAM, stable LSD radix sort (budget `None`).
+    /// Budget `None`: the whole list is one in-memory run.
     InMem,
-    /// Plain external merge sort: read runs, sort, merge — the merge only
-    /// starts after the last run is written.
+    /// The production spill: a budget below the input's footprint, so runs
+    /// are sorted, spilled and merged back.
     External,
-    /// The pipelined external sort kernel 1 now spills through: parsing,
-    /// run sorting, and output writing overlap on separate threads.
-    Pipelined,
 }
 
 /// Every kernel-1 variant, measurement order (the first is the reference).
-/// The external sorters parallelize run sorting; the in-memory radix sort
-/// is serial.
-pub const K1_VARIANTS: [Variant<K1Variant>; 3] = [
+/// The in-memory row is measured once, on one thread; the spill is swept
+/// over the thread counts (run sorting is chunked across the pool).
+pub const K1_VARIANTS: [Variant<K1Variant>; 2] = [
     (K1Variant::InMem, "inmem", false),
     (K1Variant::External, "external", true),
-    (K1Variant::Pipelined, "pipelined", true),
 ];
 
 /// What to sweep.
@@ -95,9 +86,9 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Output files per edge file set.
     pub num_files: usize,
-    /// The spill variants run with a memory budget of
-    /// `input_bytes / budget_divisor`, so the external paths always spill
-    /// (into roughly `budget_divisor` runs) regardless of scale.
+    /// The spill variant runs with a memory budget of
+    /// `input_bytes / budget_divisor`, so it always spills (into roughly
+    /// `budget_divisor` runs) regardless of scale.
     pub budget_divisor: u64,
     /// Measurement repetitions per point; the fastest trial is kept
     /// (best-of-N damps scheduler and page-cache noise, which dominates
@@ -208,27 +199,13 @@ fn run_k0(cfg: &PipelineConfig, variant: K0Variant, dir: &Path) -> Result<Manife
     let err = |e: ppbench_core::Error| format!("k0 {variant:?}: {e}");
     let generator = kernel0::build_generator(cfg);
     match variant {
-        K0Variant::Materialize => {
-            let m = cfg.spec.num_edges();
-            let edges = generator.edges_parallel(kernel0::GENERATION_CHUNK);
-            let io_err = |e: ppbench_io::Error| format!("k0 materialize: {e}");
-            let mut writer = EdgeWriter::create(dir, "edges", cfg.num_files, m).map_err(io_err)?;
-            writer.write_all(&edges).map_err(io_err)?;
-            writer
-                .finish(
-                    Some(cfg.spec.scale()),
-                    Some(cfg.spec.num_vertices()),
-                    SortState::Unsorted,
-                )
-                .map_err(io_err)
-        }
         K0Variant::Stream => kernel0::write_streamed(&generator, cfg, dir).map_err(err),
         K0Variant::Sharded => kernel0::write_sharded(&generator, cfg, dir).map_err(err),
     }
 }
 
 /// Runs one kernel-1 variant from `in_dir` into `out_dir` and returns the
-/// output manifest. `budget_bytes` applies to the spill variants only.
+/// output manifest. `budget_bytes` applies to the spill variant only.
 fn run_k1(
     in_dir: &Path,
     out_dir: &Path,
@@ -236,39 +213,9 @@ fn run_k1(
     variant: K1Variant,
     budget_bytes: u64,
 ) -> Result<Manifest, String> {
-    let err = |e: ppbench_core::Error| format!("k1 {variant:?}: {e}");
-    let io_err = |e: ppbench_io::Error| format!("k1 external: {e}");
-    match variant {
-        K1Variant::InMem | K1Variant::Pipelined => {
-            let budget = (variant == K1Variant::Pipelined).then_some(budget_bytes);
-            let (key, algorithm) = (SortKey::Start, Algorithm::Radix);
-            kernel1::sort_file_set(in_dir, out_dir, num_files, key, algorithm, budget).map_err(err)
-        }
-        K1Variant::External => {
-            // The pre-pipeline spill path, preserved as the baseline: one
-            // thread reads, sorts runs, merges, and writes, strictly in
-            // sequence.
-            let (in_manifest, iter) = EdgeReader::open_dir(in_dir).map_err(io_err)?;
-            let budget_edges = usize::try_from(budget_bytes / BYTES_PER_EDGE as u64)
-                .unwrap_or(usize::MAX)
-                .max(1);
-            let mut writer = EdgeWriter::create(out_dir, "edges", num_files, in_manifest.edges)
-                .map_err(io_err)?;
-            let scratch = out_dir.join("sort-scratch");
-            let sorter =
-                ExternalSorter::new(&scratch, budget_edges, SortKey::Start).map_err(io_err)?;
-            let _stats = sorter.sort(iter, |e| writer.write(e)).map_err(io_err)?;
-            // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the sorted output is already written and a leftover dir is harmless")
-            let _ = std::fs::remove_dir_all(&scratch);
-            writer
-                .finish(
-                    in_manifest.scale,
-                    in_manifest.vertex_bound,
-                    SortKey::Start.sort_state(),
-                )
-                .map_err(io_err)
-        }
-    }
+    let budget = (variant == K1Variant::External).then_some(budget_bytes);
+    kernel1::sort_file_set(in_dir, out_dir, num_files, SortKey::Start, budget)
+        .map_err(|e| format!("k1 {variant:?}: {e}"))
 }
 
 impl SweepRow {
@@ -375,8 +322,9 @@ impl Sweep for SweepConfig {
     /// distributed — streams, so the digest reference is per
     /// `(scale, gen)`. Kernel 1 then runs once per scale over
     /// [`K1_VARIANTS`] from the first sampler's reference output, unless
-    /// the scale exceeds [`SweepConfig::k1_max_scale`]; all three paths are
-    /// stable sorts, so their output streams must be byte-identical too.
+    /// the scale exceeds [`SweepConfig::k1_max_scale`]; both sides of the
+    /// budget are the same stable sort, so their output streams must be
+    /// byte-identical too.
     /// Row order: scale-major, kernel 0 before kernel 1, then `gens` order,
     /// then `ALL` order, then thread order as given.
     fn run(&self) -> Result<Vec<SweepRow>, String> {
@@ -472,10 +420,9 @@ mod tests {
         }
     }
 
-    /// K0: (stream once + 2 parallel variants × 2 thread counts) per
-    /// sampler; K1: inmem once + 2 parallel variants × 2 thread counts,
-    /// once per scale.
-    const TINY_ROWS: usize = (1 + 2 * 2) * 2 + (1 + 2 * 2);
+    /// K0: (stream once + sharded × 2 thread counts) per sampler; K1:
+    /// inmem once + external × 2 thread counts, once per scale.
+    const TINY_ROWS: usize = (1 + 2) * 2 + (1 + 2);
 
     #[test]
     fn best_of_n_trials_still_yields_one_row_per_point() {
@@ -548,7 +495,7 @@ mod tests {
         assert!(rows
             .iter()
             .any(|r| r.scale == 6 && r.gen == "linear" && r.kernel == "k0"));
-        assert_eq!(rows.len(), TINY_ROWS + 5);
+        assert_eq!(rows.len(), TINY_ROWS + 3);
     }
 
     #[test]

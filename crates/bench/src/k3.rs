@@ -106,8 +106,8 @@ pub fn build_matrix(scale: u32, edge_factor: u64, seed: u64) -> Csr<f64> {
     let spec = GraphSpec::new(scale, edge_factor);
     let mut edges = Kronecker::new(spec, seed).edges();
     ppbench_sort::radix_sort(&mut edges, SortKey::Start);
-    let tuples: Vec<(u64, u64)> = edges.iter().map(|e| (e.u, e.v)).collect();
-    let counts = Csr::<u64>::from_sorted_edges(spec.num_vertices(), &tuples);
+    let counts =
+        Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), edges.iter().map(|e| (e.u, e.v)));
     ops::normalize_rows(&counts)
 }
 

@@ -11,7 +11,7 @@
 //! | [`OptimizedBackend`] | C++ | hand-rolled parsing/formatting, radix sort, CSR scatter |
 //! | [`NaiveBackend`] | Python | per-line `String` processing, `BTreeMap` assembly, triplet-loop SpMV |
 //! | [`DataframeBackend`] | Python + Pandas / vectorized Matlab | whole-column operations on `ppbench-frame` |
-//! | [`ParallelBackend`] | the paper's future work | rayon generation/sort and gather-form SpMV |
+//! | [`ParallelBackend`] | the paper's future work | rayon generation, pool-wide chunk sort and gather-form SpMV |
 //! | [`GraphBlasBackend`] | the paper's §V GraphBLAS reference wish | matrix build/extract, semiring vxm, select |
 //!
 //! All five must produce the same ranks (bit-identical for the serial
@@ -92,24 +92,22 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// Shared streaming kernel-2 body: read a sorted file set, verify the
-/// manifest's contracts (digest and claimed sort order), accumulate counts
+/// Shared streaming kernel-2 body: read a sorted file set through the
+/// verifying reader, check the claimed sort order, accumulate counts
 /// straight into CSR with no intermediate edge vector, and funnel through
 /// [`kernel2::filter_matrix`]. The optimized and parallel backends both
 /// delegate here — their kernel-2 data paths are identical, only kernels
-/// 0/1/3 differ.
+/// 0/3 differ.
 pub(crate) fn kernel2_streamed(cfg: &PipelineConfig, in_dir: &Path) -> Result<Kernel2Output> {
     let (manifest, iter) = ppbench_io::EdgeReader::open_dir(in_dir)?;
     require_sorted(&manifest, in_dir)?;
-    // Stream the sorted edges straight into CSR construction while checking
-    // the manifest's contracts: the digest (catches tampered/truncated
-    // files) and the sort order (catches a forged sort state) both surface
-    // as errors, not silent bad math.
-    let mut digest = ppbench_io::checksum::EdgeDigest::new();
+    // Stream the sorted edges straight into CSR construction. The reader's
+    // final item reports a digest mismatch (tampered/truncated files) and
+    // the order check here catches a forged sort state: both surface as
+    // errors, not silent bad math.
     let mut stream_err: Option<crate::Error> = None;
     let mut prev_start: Option<u64> = None;
     let counts = {
-        let digest = &mut digest;
         let stream_err = &mut stream_err;
         let prev_start = &mut prev_start;
         Csr::<u64>::from_sorted_edge_iter(
@@ -124,7 +122,6 @@ pub(crate) fn kernel2_streamed(cfg: &PipelineConfig, in_dir: &Path) -> Result<Ke
                         return None;
                     }
                     *prev_start = Some(e.u);
-                    digest.update(e);
                     Some((e.u, e.v))
                 }
                 Err(e) => {
@@ -136,12 +133,6 @@ pub(crate) fn kernel2_streamed(cfg: &PipelineConfig, in_dir: &Path) -> Result<Ke
     };
     if let Some(e) = stream_err {
         return Err(e);
-    }
-    if !digest.same_stream(&manifest.digest) {
-        return Err(crate::Error::Contract(format!(
-            "{}: edge stream does not match manifest digest",
-            in_dir.display()
-        )));
     }
     let (matrix, stats) = crate::kernel2::filter_matrix(&counts, cfg.add_diagonal_to_empty);
     Ok(Kernel2Output { matrix, stats })

@@ -13,16 +13,16 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use ppbench_gen::EdgeGenerator;
 use ppbench_io::checksum::EdgeDigest;
-use ppbench_io::{Edge, Error as IoError, Manifest, SortState};
+use ppbench_io::{Edge, EdgeReader, Error as IoError, Manifest, SortState};
 use ppbench_sparse::{Coo, Csr};
 
 use crate::backend::{require_sorted, Backend, Kernel2Output};
 use crate::config::PipelineConfig;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::{kernel0, kernel2, kernel3};
 
 /// Interpreter-style implementation of the four kernels.
@@ -77,35 +77,40 @@ fn write_naively(
     Ok(manifest)
 }
 
-/// Reads every edge of a file set the scripting way: line strings, `split`,
-/// `parse`.
-fn read_naively(dir: &Path) -> Result<(Manifest, Vec<Edge>)> {
-    let manifest = Manifest::load(dir)?;
-    let mut edges = Vec::with_capacity(manifest.edges as usize);
-    for path in manifest.file_paths(dir) {
-        let file = std::fs::File::open(&path).map_err(|e| IoError::io(&path, e))?;
-        for (lineno, line) in BufReader::new(file).lines().enumerate() {
-            let line = line.map_err(|e| IoError::io(&path, e))?;
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split('\t');
-            let parse = |s: Option<&str>| -> Result<u64> {
-                s.and_then(|t| t.parse::<u64>().ok()).ok_or_else(|| {
-                    Error::Storage(IoError::parse(&path, lineno as u64 + 1, "bad edge line"))
-                })
-            };
-            let u = parse(parts.next())?;
-            let v = parse(parts.next())?;
-            if parts.next().is_some() {
-                return Err(Error::Storage(IoError::parse(
-                    &path,
-                    lineno as u64 + 1,
-                    "trailing fields",
-                )));
-            }
-            edges.push(Edge::new(u, v));
+/// Parses one edge file the scripting way: line strings, `split`, `parse`.
+fn naive_lines(path: PathBuf) -> Box<dyn Iterator<Item = ppbench_io::Result<Edge>>> {
+    let file = match std::fs::File::open(&path) {
+        Ok(file) => file,
+        Err(e) => return Box::new(std::iter::once(Err(IoError::io(&path, e)))),
+    };
+    let lines = BufReader::new(file).lines().enumerate();
+    Box::new(lines.filter_map(move |(lineno, line)| {
+        let bad = |msg: &str| IoError::parse(&path, lineno as u64 + 1, msg);
+        let line = match line {
+            Ok(line) if line.is_empty() => return None,
+            Ok(line) => line,
+            Err(e) => return Some(Err(IoError::io(&path, e))),
+        };
+        let mut parts = line.split('\t');
+        let mut vertex = || parts.next().and_then(|t| t.parse::<u64>().ok());
+        let (Some(u), Some(v)) = (vertex(), vertex()) else {
+            return Some(Err(bad("bad edge line")));
+        };
+        if parts.next().is_some() {
+            return Some(Err(bad("trailing fields")));
         }
+        Some(Ok(Edge::new(u, v)))
+    }))
+}
+
+/// Reads every edge of a file set with [`naive_lines`] as the parser, under
+/// the shared reader's count bound and digest verification.
+fn read_naively(dir: &Path) -> Result<(Manifest, Vec<Edge>)> {
+    let (manifest, lines) =
+        EdgeReader::open_dir_with(dir, |m| m.file_paths(dir).into_iter().flat_map(naive_lines))?;
+    let mut edges = Vec::with_capacity(manifest.edges as usize);
+    for edge in lines {
+        edges.push(edge?);
     }
     Ok((manifest, edges))
 }
@@ -189,7 +194,6 @@ mod tests {
     use super::*;
     use crate::backend::OptimizedBackend;
     use ppbench_io::tempdir::TempDir;
-    use ppbench_io::EdgeReader;
 
     fn cfg(scale: u32) -> PipelineConfig {
         PipelineConfig::builder()

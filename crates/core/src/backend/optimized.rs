@@ -2,14 +2,13 @@
 //!
 //! Uses every fast path the substrates offer: chunked streaming generation,
 //! the hand-rolled integer formatter/parser inside `ppbench-io`'s buffered
-//! writer/reader, LSD radix sort (or the out-of-core sorter beyond the
-//! memory budget), the sorted-input CSR construction fast path, and
-//! buffer-reusing scatter SpMV.
+//! writer/reader, the run engine's stable LSD radix sort (spilling runs
+//! beyond the memory budget), the sorted-input CSR construction fast path,
+//! and buffer-reusing scatter SpMV.
 
 use std::path::Path;
 
 use ppbench_io::Manifest;
-use ppbench_sort::Algorithm;
 use ppbench_sparse::{spmv, Csr};
 
 use crate::backend::{Backend, Kernel2Output};
@@ -37,7 +36,6 @@ impl Backend for OptimizedBackend {
             out_dir,
             cfg.num_files,
             cfg.sort_key,
-            Algorithm::Radix,
             cfg.sort_budget_bytes,
         )
     }

@@ -4,8 +4,9 @@
 //! implementation will show a wider dispersion in performance between the
 //! languages" (§IV). This backend parallelizes what the paper's
 //! decomposition discussion describes: chunked deterministic generation,
-//! parallel sort, and the gather-form SpMV where "each processor would
-//! compute its own value of r".
+//! the run engine's chunk sort across the pool's workers (the same stable
+//! stream the serial backends emit), and the gather-form SpMV where "each
+//! processor would compute its own value of r".
 //!
 //! Output is identical to the serial backends except kernel 3, where the
 //! gather form reassociates floating-point sums (bounded by a few ulps per
@@ -14,7 +15,6 @@
 use std::path::Path;
 
 use ppbench_io::Manifest;
-use ppbench_sort::Algorithm;
 use ppbench_sparse::{spmv, Csr, Csr32};
 
 use crate::backend::{Backend, Kernel2Output};
@@ -46,7 +46,6 @@ impl Backend for ParallelBackend {
             out_dir,
             cfg.num_files,
             cfg.sort_key,
-            Algorithm::Parallel,
             cfg.sort_budget_bytes,
         )
     }
@@ -113,23 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sort_correct_even_if_unstable() {
-        let td = TempDir::new("ppbench-par").unwrap();
-        let cfg = cfg(6);
-        ParallelBackend.kernel0(&cfg, &td.join("k0")).unwrap();
-        let m = ParallelBackend
-            .kernel1(&cfg, &td.join("k0"), &td.join("k1"))
-            .unwrap();
-        assert!(m.sort_state.is_sorted_by_start());
-        // Multiset preserved vs input (stream may differ from stable sorts).
-        let m0 = Manifest::load(&td.join("k0")).unwrap();
-        assert!(m.digest.same_multiset(&m0.digest));
-    }
-
-    #[test]
     fn parallel_kernel2_matrix_identical() {
-        // The matrix does not depend on edge order within a start vertex,
-        // so even after an unstable parallel sort it matches.
         let td = TempDir::new("ppbench-par").unwrap();
         let cfg = cfg(6);
         ParallelBackend.kernel0(&cfg, &td.join("k0")).unwrap();

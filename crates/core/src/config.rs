@@ -106,9 +106,8 @@ pub struct PipelineConfig {
     /// sorted?").
     pub sort_key: SortKey,
     /// In-memory budget for kernel 1 in **bytes** (16 bytes per resident
-    /// edge); when the input's footprint exceeds it the out-of-core
-    /// pipelined external sorter is used instead. `None` = always in
-    /// memory.
+    /// edge); when the input's footprint exceeds it the run engine spills
+    /// sorted runs and merges them back. `None` = always in memory.
     pub sort_budget_bytes: Option<u64>,
     /// §V option: add a diagonal entry to empty rows/columns so the chain
     /// has no dangling states.

@@ -5,12 +5,14 @@
 //! reads that set back to assemble the count matrix. The fused path removes
 //! the middle copy entirely:
 //!
-//! 1. **Route + run generation** (kernel-1 timing): kernel 0's shards are
-//!    streamed once through reused read buffers; each edge is routed by its
-//!    start vertex into one of `B` contiguous vertex-range buckets (`B` =
-//!    worker count), where a [`RunWriter`] accumulates it and spills sorted
-//!    `(start, end)` runs under the bucket's own memory budget. No
-//!    intermediate `Vec<Edge>` of the input is ever materialized.
+//! 1. **Route + run generation** (kernel-1 timing) — the function staged
+//!    kernel 1 runs too (`kernel1::seal_runs`), here with `B` buckets and
+//!    the `(start, end)` key: kernel 0's shards are streamed once through
+//!    the verifying reader; each edge is routed by its start vertex into
+//!    one of `B` contiguous vertex-range buckets (`B` = worker count),
+//!    where a [`RunWriter`] accumulates it and spills sorted runs under the
+//!    bucket's own memory budget. No intermediate `Vec<Edge>` of the input
+//!    is ever materialized.
 //! 2. **Merge → CSR** (kernel-2 timing): the buckets' sealed [`RunSet`]s
 //!    are merged *in parallel* — each worker drains its bucket's
 //!    [`MergeStream`] directly into a [`CsrStreamBuilder`] row segment,
@@ -35,17 +37,17 @@
 
 use std::path::Path;
 
-use ppbench_io::{checksum::EdgeDigest, EdgeReader, BYTES_PER_EDGE};
-use ppbench_sort::{ExternalSorter, RunSet, SortKey};
+use ppbench_io::{checksum::EdgeDigest, Edge};
+use ppbench_sort::{RunSet, SortKey};
 use ppbench_sparse::{Csr, CsrSegment, CsrStreamBuilder};
 use rayon::prelude::*;
 
 use crate::backend::Kernel2Output;
 use crate::config::PipelineConfig;
 use crate::error::{Error, Result};
-use crate::kernel2;
 use crate::results::{Kernel1Result, Kernel2Result};
 use crate::timing::Stopwatch;
+use crate::{kernel1, kernel2};
 
 /// Everything the fused pass produces: the two kernel results the pipeline
 /// records (timings split at the run-seal boundary) plus the kernel-2
@@ -63,24 +65,14 @@ pub struct FusedOutcome {
 /// Runs the fused kernel-1+2 pass over the edge files in `k0_dir`, using
 /// `scratch_dir` for spilled runs (removed before returning).
 ///
-/// The input manifest is treated as untrusted: its edge count is bounded
-/// against the bytes on disk, every vertex is bounds-checked against the
-/// configured graph size before routing, and the consumed stream is
-/// digest-verified against the manifest — corrupt shards surface as
-/// [`Error::Contract`], never as bad math or a builder panic.
+/// The input is untrusted: the reader bounds the manifest's edge count and
+/// digest-verifies the stream (see `kernel1::seal_runs`), and every
+/// vertex is bounds-checked against the configured graph size before
+/// routing — corrupt shards surface as errors, never as bad math or a
+/// builder panic.
 pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Result<FusedOutcome> {
     // ---- Phase 1: route the input into per-vertex-range sorted runs ----
     let sw = Stopwatch::start();
-    let (manifest, iter) = EdgeReader::open_dir(k0_dir)?;
-    let disk_cap = manifest.max_edges_on_disk(k0_dir);
-    if manifest.edges > disk_cap {
-        return Err(Error::Contract(format!(
-            "{}: manifest claims {} edges but its files hold at most {disk_cap}",
-            k0_dir.display(),
-            manifest.edges
-        )));
-    }
-    let m = manifest.edges;
     let n = cfg.spec.num_vertices();
     let buckets = rayon::current_num_threads().max(1);
     // Even vertex-range bucket boundaries: bucket b owns rows
@@ -88,28 +80,10 @@ pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Resu
     let bounds: Vec<u64> = (0..=buckets)
         .map(|b| ((u128::from(n) * b as u128) / buckets as u128) as u64)
         .collect();
-
-    let in_bytes = m.saturating_mul(BYTES_PER_EDGE as u64);
-    let spill_budget = cfg.sort_budget_bytes.filter(|&b| in_bytes > b);
-    // Within the budget each bucket gets an even share; without one the
-    // buffers simply never spill.
-    let budget_edges = spill_budget.map_or(usize::MAX, |bytes| {
-        usize::try_from(bytes / BYTES_PER_EDGE as u64 / buckets as u64)
-            .unwrap_or(usize::MAX)
-            .max(1)
-    });
-
-    let mut writers = Vec::with_capacity(buckets);
-    for b in 0..buckets {
-        let dir = scratch_dir.join(format!("fused-bucket-{b:03}"));
-        // (start, end) runs make each bucket's merge emit exactly the order
-        // CsrStreamBuilder needs for O(1) duplicate accumulation.
-        writers.push(ExternalSorter::new(&dir, budget_edges, SortKey::StartEnd)?.run_writer()?);
-    }
-
-    let mut input_digest = EdgeDigest::new();
-    for edge in iter {
-        let e = edge?;
+    // (start, end) runs make each bucket's merge emit exactly the order
+    // CsrStreamBuilder needs for O(1) duplicate accumulation.
+    let key = SortKey::StartEnd;
+    let route = |e: Edge| {
         if e.u >= n || e.v >= n {
             return Err(Error::Contract(format!(
                 "{}: edge ({}, {}) exceeds the configured vertex bound {n}",
@@ -118,28 +92,17 @@ pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Resu
                 e.v
             )));
         }
-        input_digest.update(e);
-        let b = bounds.partition_point(|&lo| lo <= e.u) - 1;
-        writers[b].push(e)?;
-    }
-    if !input_digest.same_stream(&manifest.digest) {
-        return Err(Error::Contract(format!(
-            "{}: edge stream does not match manifest digest \
-             (read {} edges, manifest says {})",
-            k0_dir.display(),
-            input_digest.count,
-            m
-        )));
-    }
-    let mut sets: Vec<RunSet> = Vec::with_capacity(buckets);
-    for w in writers {
-        sets.push(w.finish()?);
-    }
+        Ok(bounds.partition_point(|&lo| lo <= e.u) - 1)
+    };
+    let budget = cfg.sort_budget_bytes;
+    let sealed = kernel1::seal_runs(k0_dir, scratch_dir, key, buckets, budget, route)?;
+    let manifest = sealed.manifest;
+    let m = manifest.edges;
     let k1_timing = sw.finish(m);
 
     // ---- Phase 2: parallel per-bucket merge straight into CSR segments ----
     let sw = Stopwatch::start();
-    let indexed: Vec<(usize, RunSet)> = sets.into_iter().enumerate().collect();
+    let indexed: Vec<(usize, RunSet)> = sealed.sets.into_iter().enumerate().collect();
     let built: Vec<Result<(CsrSegment<u64>, EdgeDigest)>> = indexed
         .into_par_iter()
         .map(|(b, set)| {
@@ -173,10 +136,11 @@ pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Resu
     let k2_timing = sw.finish(m);
 
     // The MergeStreams already removed their run files; remove the (now
-    // empty) bucket directories too, propagating failures — a scratch dir
-    // that cannot be deleted is a real environment problem.
+    // empty) directories of the buckets that spilled too, propagating
+    // failures — a scratch dir that cannot be deleted is a real environment
+    // problem.
     for b in 0..buckets {
-        let dir = scratch_dir.join(format!("fused-bucket-{b:03}"));
+        let dir = scratch_dir.join(format!("bucket-{b:03}"));
         if dir.exists() {
             std::fs::remove_dir_all(&dir).map_err(|e| ppbench_io::Error::io(&dir, e))?;
         }
@@ -186,8 +150,8 @@ pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Resu
         k1: Kernel1Result {
             timing: k1_timing,
             digest: sorted_digest,
-            sort_state: SortKey::StartEnd.sort_state(),
-            out_of_core: spill_budget.is_some(),
+            sort_state: key.sort_state(),
+            out_of_core: sealed.out_of_core,
         },
         k2: Kernel2Result {
             timing: k2_timing,
@@ -203,8 +167,7 @@ mod tests {
     use crate::backend::{Backend, OptimizedBackend};
     use crate::kernel1;
     use ppbench_io::tempdir::TempDir;
-    use ppbench_io::{Edge, Manifest, SortState};
-    use ppbench_sort::Algorithm;
+    use ppbench_io::{Manifest, SortState};
 
     fn cfg(scale: u32) -> PipelineConfig {
         PipelineConfig::builder()
@@ -218,15 +181,7 @@ mod tests {
     /// Oracle: the staged path (kernel 1 then the shared streaming
     /// kernel 2) over the same input directory.
     fn staged(cfg: &PipelineConfig, k0: &Path, work: &Path) -> Kernel2Output {
-        kernel1::sort_file_set(
-            k0,
-            work,
-            1,
-            SortKey::StartEnd,
-            Algorithm::Radix,
-            cfg.sort_budget_bytes,
-        )
-        .unwrap();
+        kernel1::sort_file_set(k0, work, 1, SortKey::StartEnd, cfg.sort_budget_bytes).unwrap();
         crate::backend::kernel2_streamed(cfg, work).unwrap()
     }
 

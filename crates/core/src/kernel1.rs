@@ -2,103 +2,129 @@
 //!
 //! "Kernel 1 reads in the files generated in kernel 0, sorts the edges by
 //! start vertex and writes the sorted edges to files on non-volatile
-//! storage using the same format." The in-memory/out-of-core decision the
-//! paper discusses is made here: when a memory budget is configured and the
-//! input's in-memory footprint (16 bytes per edge) exceeds it, the
-//! pipelined external sorter runs — parsing, run sorting, and output
-//! writing on separate threads; otherwise the whole list is sorted in RAM
-//! with the backend's algorithm of choice.
+//! storage using the same format." There is one sort: the verified input
+//! stream is routed into the run engine's [`RunWriter`]s and sealed
+//! (`seal_runs`), and the sealed [`RunSet`]s stream back in sorted order.
+//! The in-memory/out-of-core decision the paper discusses is a budget, not
+//! a second algorithm: when a memory budget is configured and the input's
+//! in-memory footprint (16 bytes per edge) exceeds it, the writers spill
+//! sorted runs; otherwise nothing spills and each set is one in-memory run.
+//! Staged kernel 1 ([`sort_file_set`]) and the fused path
+//! ([`crate::fused::kernel12`]) differ only in how many buckets the stream
+//! is routed into and where the sorted stream goes.
 //!
-//! Both paths treat the input manifest as untrusted on-disk data: its edge
-//! count is bounded against the actual file bytes before any allocation,
-//! and the stream read back is digest-verified against the manifest before
-//! the sorted output is committed.
+//! The input is read through [`EdgeReader::open_dir`], which bounds the
+//! untrusted manifest's edge count by the bytes on disk and digest-verifies
+//! the stream; the whole input is consumed — and so verified — before any
+//! output is written, so bad input is never laundered into a
+//! plausible-looking sorted file set, and the spilled runs are removed
+//! whether the sort succeeds or fails.
+//!
+//! [`RunWriter`]: ppbench_sort::RunWriter
 
 use std::path::Path;
 
-use ppbench_io::{checksum::EdgeDigest, EdgeReader, EdgeWriter, Manifest, BYTES_PER_EDGE};
-use ppbench_sort::{pipelined_sort, Algorithm, SortKey};
+use ppbench_io::{Edge, EdgeReader, EdgeWriter, Manifest, BYTES_PER_EDGE};
+use ppbench_sort::{ExternalSorter, RunSet, SortKey};
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 
-/// Sorts the edge file set at `in_dir` into a new file set at `out_dir`.
+/// The verified input of a kernel-1 pass, routed into sorted runs.
+#[derive(Debug)]
+pub(crate) struct SealedRuns {
+    /// The input's manifest.
+    pub(crate) manifest: Manifest,
+    /// One sealed run set per bucket, in bucket order.
+    pub(crate) sets: Vec<RunSet>,
+    /// Whether the input exceeded the budget (the run writers may have
+    /// spilled).
+    pub(crate) out_of_core: bool,
+}
+
+/// Streams the file set at `in_dir` once, handing each edge to the run
+/// writer of bucket `route(edge)` (which must be below `buckets`; each
+/// bucket spills `key`-sorted runs under `scratch`), and seals every bucket.
 ///
-/// * `algorithm` — in-memory algorithm (ignored on the out-of-core path,
-///   which always uses stable radix runs).
-/// * `budget_bytes` — maximum bytes of edges held in memory (at
-///   [`BYTES_PER_EDGE`] per edge); `None` means unbounded.
-///
-/// Returns the output manifest.
+/// `budget_bytes` is the maximum bytes of edges held in memory (at
+/// [`BYTES_PER_EDGE`] per edge, shared evenly between the buckets); `None`
+/// means unbounded. An input within the budget never spills.
+pub(crate) fn seal_runs(
+    in_dir: &Path,
+    scratch: &Path,
+    key: SortKey,
+    buckets: usize,
+    budget_bytes: Option<u64>,
+    route: impl Fn(Edge) -> Result<usize>,
+) -> Result<SealedRuns> {
+    let (manifest, edges) = EdgeReader::open_dir(in_dir)?;
+    let in_bytes = manifest.edges.saturating_mul(BYTES_PER_EDGE as u64);
+    // `Some` only when the input exceeds the in-memory budget.
+    let spill_budget = budget_bytes.filter(|&b| in_bytes > b);
+    let budget_edges = spill_budget.map_or(usize::MAX, |bytes| {
+        usize::try_from(bytes / BYTES_PER_EDGE as u64 / buckets as u64)
+            .unwrap_or(usize::MAX)
+            .max(1)
+    });
+    // An even share per bucket; `open_dir` bounded the count by the bytes
+    // on disk, so this cannot be driven by a forged manifest.
+    let expected = manifest.edges.div_ceil(buckets as u64) as usize;
+    let mut writers = Vec::with_capacity(buckets);
+    for b in 0..buckets {
+        let dir = scratch.join(format!("bucket-{b:03}"));
+        writers.push(ExternalSorter::new(&dir, budget_edges, key)?.run_writer_for(expected));
+    }
+    for edge in edges {
+        let e = edge?;
+        writers[route(e)?].push(e)?;
+    }
+    let mut sets = Vec::with_capacity(buckets);
+    for w in writers {
+        sets.push(w.finish()?);
+    }
+    Ok(SealedRuns {
+        manifest,
+        sets,
+        out_of_core: spill_budget.is_some(),
+    })
+}
+
+/// Sorts the edge file set at `in_dir` into a new file set at `out_dir`;
+/// `budget_bytes` as in the module docs. Returns the output manifest.
 pub fn sort_file_set(
     in_dir: &Path,
     out_dir: &Path,
     num_files: usize,
     key: SortKey,
-    algorithm: Algorithm,
     budget_bytes: Option<u64>,
 ) -> Result<Manifest> {
-    let (in_manifest, iter) = EdgeReader::open_dir(in_dir)?;
-    // The manifest's edge count is untrusted: a corrupt or hostile value
-    // (`edges: u64::MAX`) must drive neither an allocation nor a spill
-    // decision. Bound it by what the files' bytes could possibly encode.
-    let disk_cap = in_manifest.max_edges_on_disk(in_dir);
-    if in_manifest.edges > disk_cap {
-        return Err(Error::Contract(format!(
-            "{}: manifest claims {} edges but its files hold at most {disk_cap}",
-            in_dir.display(),
-            in_manifest.edges
-        )));
+    let scratch = out_dir.join("sort-scratch");
+    let sorted = write_sorted(in_dir, out_dir, &scratch, num_files, key, budget_bytes);
+    // Spilled runs go whether the sort succeeded or not: a rejected input
+    // (the digest verdict arrives after everything has been spilled) must
+    // leave no scratch behind.
+    if scratch.exists() {
+        std::fs::remove_dir_all(&scratch).map_err(|e| ppbench_io::Error::io(&scratch, e))?;
     }
-    let in_bytes = in_manifest.edges.saturating_mul(BYTES_PER_EDGE as u64);
-    // `Some` only when the input exceeds the in-memory budget.
-    let spill_budget = budget_bytes.filter(|&b| in_bytes > b);
+    let (input, writer) = sorted?;
+    Ok(writer.finish(input.scale, input.vertex_bound, key.sort_state())?)
+}
 
-    let mut writer = EdgeWriter::create(out_dir, "edges", num_files, in_manifest.edges)?;
-    if let Some(bytes) = spill_budget {
-        let budget_edges = usize::try_from(bytes / BYTES_PER_EDGE as u64)
-            .unwrap_or(usize::MAX)
-            .max(1);
-        let scratch = out_dir.join("sort-scratch");
-        let stats = pipelined_sort(&scratch, budget_edges, key, iter, |e| writer.write(e))?;
-        // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the sorted output is already written and a leftover dir is harmless")
-        let _ = std::fs::remove_dir_all(&scratch);
-        if !stats.input_digest.same_stream(&in_manifest.digest) {
-            return Err(Error::Contract(format!(
-                "{}: edge stream does not match manifest digest \
-                 (read {} edges, manifest says {})",
-                in_dir.display(),
-                stats.input_digest.count,
-                in_manifest.edges
-            )));
-        }
-    } else {
-        let mut edges = Vec::with_capacity(in_manifest.edges as usize);
-        let mut digest = EdgeDigest::new();
-        for e in iter {
-            let e = e?;
-            digest.update(e);
-            edges.push(e);
-        }
-        // Verify before sorting: bad input must never be laundered into a
-        // plausible-looking sorted file set.
-        if !digest.same_stream(&in_manifest.digest) {
-            return Err(Error::Contract(format!(
-                "{}: edge stream does not match manifest digest \
-                 (read {} edges, manifest says {})",
-                in_dir.display(),
-                digest.count,
-                in_manifest.edges
-            )));
-        }
-        algorithm.sort(&mut edges, key, in_manifest.vertex_bound);
-        writer.write_all(&edges)?;
+/// [`sort_file_set`] up to, not including, the manifest: returns the
+/// input's manifest and the writer holding the sorted, unpublished files.
+fn write_sorted(
+    in_dir: &Path,
+    out_dir: &Path,
+    scratch: &Path,
+    num_files: usize,
+    key: SortKey,
+    budget_bytes: Option<u64>,
+) -> Result<(Manifest, EdgeWriter)> {
+    let runs = seal_runs(in_dir, scratch, key, 1, budget_bytes, |_| Ok(0))?;
+    let mut writer = EdgeWriter::create(out_dir, "edges", num_files, runs.manifest.edges)?;
+    for set in runs.sets {
+        set.for_each_batch(|edges| writer.write_all(edges))?;
     }
-    let manifest = writer.finish(
-        in_manifest.scale,
-        in_manifest.vertex_bound,
-        key.sort_state(),
-    )?;
-    Ok(manifest)
+    Ok((runs.manifest, writer))
 }
 
 #[cfg(test)]
@@ -131,15 +157,7 @@ mod tests {
         let td = TempDir::new("ppbench-k1").unwrap();
         let edges = scrambled(500);
         write_input(&td.join("in"), &edges);
-        let m = sort_file_set(
-            &td.join("in"),
-            &td.join("out"),
-            3,
-            SortKey::Start,
-            Algorithm::Radix,
-            None,
-        )
-        .unwrap();
+        let m = sort_file_set(&td.join("in"), &td.join("out"), 3, SortKey::Start, None).unwrap();
         assert_eq!(m.edges, 500);
         assert_eq!(m.files.len(), 3);
         assert!(m.sort_state.is_sorted_by_start());
@@ -148,35 +166,6 @@ mod tests {
         // The input digest's multiset component must be preserved.
         let in_manifest = Manifest::load(&td.join("in")).unwrap();
         assert!(m.digest.same_multiset(&in_manifest.digest));
-    }
-
-    #[test]
-    fn out_of_core_path_matches_in_memory() {
-        let td = TempDir::new("ppbench-k1").unwrap();
-        let edges = scrambled(400);
-        write_input(&td.join("in"), &edges);
-        let m_mem = sort_file_set(
-            &td.join("in"),
-            &td.join("mem"),
-            1,
-            SortKey::Start,
-            Algorithm::Radix,
-            None,
-        )
-        .unwrap();
-        let m_ext = sort_file_set(
-            &td.join("in"),
-            &td.join("ext"),
-            1,
-            SortKey::Start,
-            Algorithm::Radix,
-            Some(32 * BYTES_PER_EDGE as u64),
-        )
-        .unwrap();
-        // Stable radix in memory and stable external sort agree exactly.
-        assert!(m_mem.digest.same_stream(&m_ext.digest));
-        // Scratch space cleaned up.
-        assert!(!td.join("ext").join("sort-scratch").exists());
     }
 
     #[test]
@@ -191,7 +180,6 @@ mod tests {
             &td.join("tight"),
             1,
             SortKey::Start,
-            Algorithm::Radix,
             Some(1599),
         )
         .unwrap();
@@ -200,7 +188,6 @@ mod tests {
             &td.join("exact"),
             1,
             SortKey::Start,
-            Algorithm::Radix,
             Some(1600),
         )
         .unwrap();
@@ -213,15 +200,7 @@ mod tests {
     fn start_end_key_orders_ends_within_start() {
         let td = TempDir::new("ppbench-k1").unwrap();
         write_input(&td.join("in"), &scrambled(200));
-        sort_file_set(
-            &td.join("in"),
-            &td.join("out"),
-            1,
-            SortKey::StartEnd,
-            Algorithm::Std,
-            None,
-        )
-        .unwrap();
+        sort_file_set(&td.join("in"), &td.join("out"), 1, SortKey::StartEnd, None).unwrap();
         let (m, got) = EdgeReader::read_dir_all(&td.join("out")).unwrap();
         assert_eq!(m.sort_state, SortState::ByStartEnd);
         assert!(got.windows(2).all(|w| (w[0].u, w[0].v) <= (w[1].u, w[1].v)));
@@ -235,7 +214,6 @@ mod tests {
             &td.join("out"),
             1,
             SortKey::Start,
-            Algorithm::Radix,
             None,
         );
         assert!(r.is_err());
@@ -243,9 +221,8 @@ mod tests {
 
     #[test]
     fn hostile_manifest_edge_count_rejected_before_allocating() {
-        // A manifest claiming u64::MAX edges used to drive
-        // `Vec::with_capacity(u64::MAX)` — an immediate abort. It must now
-        // surface as a contract error bounded by the bytes on disk.
+        // A manifest claiming u64::MAX edges must not drive an allocation:
+        // the reader bounds it by the bytes on disk.
         let td = TempDir::new("ppbench-k1").unwrap();
         write_input(&td.join("in"), &scrambled(10));
         // Forge an internally consistent manifest (per-file sums and digest
@@ -257,15 +234,8 @@ mod tests {
         m.files[0].edges = u64::MAX - m.files[1].edges;
         m.save(&td.join("in")).unwrap();
         for budget in [None, Some(64)] {
-            let err = sort_file_set(
-                &td.join("in"),
-                &td.join("out"),
-                1,
-                SortKey::Start,
-                Algorithm::Radix,
-                budget,
-            )
-            .unwrap_err();
+            let err = sort_file_set(&td.join("in"), &td.join("out"), 1, SortKey::Start, budget)
+                .unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains("at most"), "{msg}");
         }

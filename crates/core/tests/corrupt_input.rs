@@ -1,141 +1,139 @@
-//! Corrupt-input coverage for the kernel-1 read path.
+//! Corrupt-input coverage for every consumer of a published file set.
 //!
-//! Kernel 1 is the first consumer of on-disk state it did not produce in
-//! the same process, so every class of corruption — hostile counts,
-//! truncated files, missing files, count/content mismatches — must surface
-//! as a clean `Err` through both `EdgeReader::read_dir_all` and
-//! `kernel1::sort_file_set`, never a panic, abort, or silently wrong
-//! output.
+//! Kernels 1 and 2 consume on-disk state they did not produce in the same
+//! process, so every class of corruption — hostile counts, appended or
+//! truncated records, missing files — must surface as a clean `Err` from
+//! `EdgeReader::read_dir_all` and from `kernel1`/`kernel2` of **every**
+//! backend: never a panic, an abort, silently wrong output, or a published
+//! output manifest. One table: corruption × `Variant::ALL` × {kernel 1 in
+//! memory, kernel 1 spilling, kernel 2}.
 
 use std::path::Path;
 
-use ppbench_core::kernel1::sort_file_set;
+use ppbench_core::{PipelineConfig, Variant};
+use ppbench_io::tempdir::TempDir;
 use ppbench_io::{Edge, EdgeReader, Manifest, SortState};
-use ppbench_sort::{Algorithm, SortKey};
 
-fn scrambled(n: u64) -> Vec<Edge> {
-    (0..n)
+/// 50 edges over the 32 vertices of scale 5, sorted by start (stably), so
+/// the same list is a valid kernel-2 input and, declared unsorted, a
+/// kernel-1 input.
+fn edges() -> Vec<Edge> {
+    let mut edges: Vec<Edge> = (0..50u64)
         .map(|i| Edge::new((i * 7 + 3) % 32, (i * 5) % 32))
-        .collect()
+        .collect();
+    edges.sort_by_key(|e| e.u);
+    edges
 }
 
-fn write_input(dir: &Path, edges: &[Edge]) -> Manifest {
-    ppbench_io::write_edges(
-        dir,
-        "edges",
-        2,
-        edges,
-        Some(5),
-        Some(32),
-        SortState::Unsorted,
-    )
-    .unwrap()
-}
-
-/// Both consumers of a corrupt directory must fail cleanly; returns the two
-/// error strings for message assertions. Runs `sort_file_set` with no
-/// budget (in-memory path) and with a tiny byte budget (spill path) so both
-/// kernel-1 code paths see the corruption.
-fn assert_both_paths_reject(dir: &Path, out_root: &Path) -> Vec<String> {
-    let mut messages = Vec::new();
-    let read_err = EdgeReader::read_dir_all(dir).unwrap_err();
-    messages.push(read_err.to_string());
-    for (label, budget) in [("inmem", None), ("spill", Some(64))] {
-        let err = sort_file_set(
-            dir,
-            &out_root.join(label),
-            1,
-            SortKey::Start,
-            Algorithm::Radix,
-            budget,
-        )
-        .unwrap_err();
-        messages.push(err.to_string());
+fn cfg(sort_budget_bytes: Option<u64>) -> PipelineConfig {
+    let builder = PipelineConfig::builder().scale(5).num_files(2);
+    match sort_budget_bytes {
+        Some(bytes) => builder.sort_budget_bytes(bytes).build(),
+        None => builder.build(),
     }
-    messages
+}
+
+/// `result` must be an error whose text contains `needle`.
+fn assert_rejected<T, E: std::fmt::Display>(what: &str, result: Result<T, E>, needle: &str) {
+    let Err(e) = result else {
+        panic!("{what} accepted a corrupt file set");
+    };
+    let msg = e.to_string();
+    assert!(msg.contains(needle), "{what}: {msg}");
+}
+
+/// Writes a two-file set in each sort state, applies `corrupt` to it, and
+/// requires every reader of the directory to fail with `needle` in the
+/// message.
+fn assert_every_consumer_rejects(corrupt: impl Fn(&Path, &Manifest), needle: &str) {
+    let td = TempDir::new("corrupt-input").unwrap();
+    for state in [SortState::Unsorted, SortState::ByStart] {
+        let dir = td.join(&format!("{state:?}"));
+        let manifest =
+            ppbench_io::write_edges(&dir, "edges", 2, &edges(), Some(5), Some(32), state).unwrap();
+        corrupt(&dir, &manifest);
+        assert_rejected("read_dir_all", EdgeReader::read_dir_all(&dir), needle);
+        for variant in Variant::ALL {
+            let (backend, name) = (variant.backend(), variant.name());
+            if state == SortState::ByStart {
+                let k2 = backend.kernel2(&cfg(None), &dir);
+                assert_rejected(&format!("{name} kernel2"), k2, needle);
+                continue;
+            }
+            for (label, budget) in [("inmem", None), ("spill", Some(64))] {
+                let out = td.join(&format!("{name}-{label}"));
+                let k1 = backend.kernel1(&cfg(budget), &dir, &out);
+                assert_rejected(&format!("{name} kernel1 {label}"), k1, needle);
+                // The manifest is the commit point: a failed kernel 1 must
+                // not publish one for its partial output.
+                assert!(
+                    !out.join(ppbench_io::MANIFEST_NAME).exists(),
+                    "{name} {label}: failed sort committed a manifest"
+                );
+                // ... and must not leave its spilled runs behind (the digest
+                // verdict arrives after the whole input has been spilled).
+                assert!(
+                    !out.join("sort-scratch").exists(),
+                    "{name} {label}: failed sort left scratch behind"
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn hostile_edge_count_rejected_without_allocating() {
     // `edges: u64::MAX` with internally consistent per-file counts and
     // digest: only the bytes-on-disk bound can catch it, and it must do so
-    // before `Vec::with_capacity` turns the lie into an abort.
-    let td = ppbench_io::tempdir::TempDir::new("corrupt-k1").unwrap();
-    write_input(&td.join("in"), &scrambled(20));
-    let mut m = Manifest::load(&td.join("in")).unwrap();
-    m.edges = u64::MAX;
-    m.digest.count = u64::MAX;
-    m.files[0].edges = u64::MAX - m.files[1].edges;
-    m.save(&td.join("in")).unwrap();
-    for msg in assert_both_paths_reject(&td.join("in"), &td.join("out")) {
-        assert!(msg.contains("at most"), "{msg}");
-    }
+    // before any `Vec::with_capacity` turns the lie into an abort.
+    assert_every_consumer_rejects(
+        |dir, _| {
+            let mut m = Manifest::load(dir).unwrap();
+            m.edges = u64::MAX;
+            m.digest.count = u64::MAX;
+            m.files[0].edges = u64::MAX - m.files[1].edges;
+            m.save(dir).unwrap();
+        },
+        "at most",
+    );
 }
 
 #[test]
 fn manifest_count_disagreeing_with_contents_rejected() {
     // The manifest claims fewer edges than the files contain (an append
-    // behind the manifest's back). The stream digest is what catches it.
-    let td = ppbench_io::tempdir::TempDir::new("corrupt-k1").unwrap();
-    let m = write_input(&td.join("in"), &scrambled(50));
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(td.join("in").join(&m.files[1].name))
-        .unwrap();
-    writeln!(f, "3\t9").unwrap();
-    drop(f);
-    for msg in assert_both_paths_reject(&td.join("in"), &td.join("out")) {
-        assert!(msg.contains("digest"), "{msg}");
-    }
+    // behind the manifest's back; start 31 keeps the sorted set sorted).
+    // The stream digest is what catches it.
+    assert_every_consumer_rejects(
+        |dir, m| {
+            use std::io::Write;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(dir.join(&m.files[1].name))
+                .unwrap();
+            writeln!(f, "31\t9").unwrap();
+        },
+        "digest",
+    );
 }
 
 #[test]
 fn truncated_final_line_rejected() {
     // Chop the file mid-record (a torn write): the partial final line must
     // parse-fail or digest-fail, never be silently dropped.
-    let td = ppbench_io::tempdir::TempDir::new("corrupt-k1").unwrap();
-    let m = write_input(&td.join("in"), &scrambled(50));
-    let path = td.join("in").join(&m.files[1].name);
-    let data = std::fs::read(&path).unwrap();
-    let keep = data.len() - 3;
-    std::fs::write(&path, &data[..keep]).unwrap();
-    let messages = assert_both_paths_reject(&td.join("in"), &td.join("out"));
-    assert!(!messages.is_empty());
+    assert_every_consumer_rejects(
+        |dir, m| {
+            let path = dir.join(&m.files[1].name);
+            let data = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &data[..data.len() - 3]).unwrap();
+        },
+        "",
+    );
 }
 
 #[test]
 fn manifest_naming_missing_file_rejected() {
-    let td = ppbench_io::tempdir::TempDir::new("corrupt-k1").unwrap();
-    let m = write_input(&td.join("in"), &scrambled(30));
-    std::fs::remove_file(td.join("in").join(&m.files[0].name)).unwrap();
-    let messages = assert_both_paths_reject(&td.join("in"), &td.join("out"));
-    assert!(!messages.is_empty());
-}
-
-#[test]
-fn corruption_leaves_no_committed_output_manifest() {
-    // A failed kernel 1 must not publish a manifest for its partial
-    // output — the manifest is the commit point.
-    let td = ppbench_io::tempdir::TempDir::new("corrupt-k1").unwrap();
-    let m = write_input(&td.join("in"), &scrambled(40));
-    let path = td.join("in").join(&m.files[0].name);
-    let data = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &data[..data.len() - 5]).unwrap();
-    for (label, budget) in [("inmem", None), ("spill", Some(64u64))] {
-        let out = td.join(label);
-        assert!(sort_file_set(
-            &td.join("in"),
-            &out,
-            1,
-            SortKey::Start,
-            Algorithm::Radix,
-            budget,
-        )
-        .is_err());
-        assert!(
-            !out.join(ppbench_io::MANIFEST_NAME).exists(),
-            "{label}: failed sort must not commit a manifest"
-        );
-    }
+    assert_every_consumer_rejects(
+        |dir, m| std::fs::remove_file(dir.join(&m.files[0].name)).unwrap(),
+        "",
+    );
 }

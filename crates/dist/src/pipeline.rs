@@ -90,11 +90,10 @@ pub fn run_distributed(cfg: &DistConfig) -> DistResult {
         let after_k1 = phase_snapshot(&fabric);
 
         // --- Kernel 2: local rows, global degree aggregation. -------------
-        let tuples: Vec<(u64, u64)> = local_edges.iter().map(|e| (e.u, e.v)).collect();
-        drop(local_edges);
         // Rows outside this rank's range are simply empty locally.
-        let local_counts = Csr::<u64>::from_sorted_edges(n, &tuples);
-        drop(tuples);
+        let local_counts =
+            Csr::<u64>::from_sorted_edge_iter(n, local_edges.iter().map(|e| (e.u, e.v)));
+        drop(local_edges);
         // "the in-degree info will need to be aggregated"
         let din = fabric.all_reduce_sum(rank, ops::col_sums(&local_counts));
         // "and the selected vertices for elimination broadcast" — rank 0

@@ -51,7 +51,7 @@ mod writer;
 
 pub use error::{Error, Result};
 pub use manifest::{EdgeEncoding, FileEntry, Manifest, SortState, MANIFEST_NAME};
-pub use reader::{EdgeFileIter, EdgeReader};
+pub use reader::{EdgeFileIter, EdgeReader, VerifiedEdges};
 pub use writer::{publish_manifest, shard_file_name, write_edges, EdgeWriter, ShardWriter};
 
 /// A vertex identifier. Vertex labels range over `0 .. 2^scale`, so 64 bits

@@ -1,4 +1,14 @@
-//! Buffered multi-file edge reader.
+//! Buffered multi-file edge reader — and the one place a published file
+//! set is checked against its manifest.
+//!
+//! A manifest is untrusted on-disk input: it may come from a corrupt or
+//! hostile directory. [`EdgeReader::open_dir`] is therefore *verified by
+//! construction*: it refuses a manifest whose edge count exceeds what the
+//! files' bytes could encode (so no caller can size an allocation from a
+//! lie), and the stream it returns digests what it yields and ends with an
+//! `Err` when the bytes read disagree with the manifest's digest (so no
+//! caller can launder a tampered set into plausible output). Every kernel
+//! and backend reads file sets through it.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -6,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 use crate::checksum::EdgeDigest;
 use crate::format;
-use crate::manifest::{EdgeEncoding, Manifest};
+use crate::manifest::{EdgeEncoding, Manifest, MANIFEST_NAME};
 use crate::{Edge, Error, Result};
 
 /// Buffer size for file reads.
@@ -17,30 +27,35 @@ pub struct EdgeReader;
 
 impl EdgeReader {
     /// Opens the file set described by `dir/manifest.tsv`, returning the
-    /// manifest and a streaming iterator over all edges in stream order.
-    pub fn open_dir(dir: &Path) -> Result<(Manifest, EdgeFileIter)> {
+    /// manifest and a verified streaming iterator over all edges in stream
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// A missing or malformed manifest, or one claiming more edges than the
+    /// files on disk can hold.
+    pub fn open_dir(dir: &Path) -> Result<(Manifest, VerifiedEdges<EdgeFileIter>)> {
+        Self::open_dir_with(dir, |m| {
+            EdgeFileIter::with_encoding(m.file_paths(dir), m.encoding)
+        })
+    }
+
+    /// [`EdgeReader::open_dir`] with the caller's own parser over the
+    /// manifest's files (the naive backend's line-at-a-time style): the
+    /// count bound and the digest verification are the same.
+    pub fn open_dir_with<I>(
+        dir: &Path,
+        parse: impl FnOnce(&Manifest) -> I,
+    ) -> Result<(Manifest, VerifiedEdges<I>)>
+    where
+        I: Iterator<Item = Result<Edge>>,
+    {
         let manifest = Manifest::load(dir)?;
-        let iter = EdgeFileIter::with_encoding(manifest.file_paths(dir), manifest.encoding);
-        Ok((manifest, iter))
-    }
-
-    /// Opens an explicit list of text-encoded files (no manifest required).
-    pub fn open_files(paths: Vec<PathBuf>) -> EdgeFileIter {
-        EdgeFileIter::new(paths)
-    }
-
-    /// Reads every edge of a manifest-described directory into memory and
-    /// verifies the stream digest recorded in the manifest.
-    pub fn read_dir_all(dir: &Path) -> Result<(Manifest, Vec<Edge>)> {
-        let (manifest, iter) = Self::open_dir(dir)?;
-        // The manifest's edge count is untrusted on-disk input: a corrupt
-        // or hostile value (`edges: u64::MAX`) must not drive an allocation.
-        // Bound it by what the files' bytes could possibly encode before
-        // preallocating.
+        let manifest_path = dir.join(MANIFEST_NAME);
         let disk_cap = manifest.max_edges_on_disk(dir);
         if manifest.edges > disk_cap {
             return Err(Error::manifest(
-                dir.join(crate::manifest::MANIFEST_NAME),
+                manifest_path,
                 format!(
                     "manifest claims {} edges but the files on disk can hold \
                      at most {disk_cap}",
@@ -48,24 +63,80 @@ impl EdgeReader {
                 ),
             ));
         }
+        let edges = VerifiedEdges {
+            inner: parse(&manifest),
+            seen: EdgeDigest::new(),
+            expect: manifest.digest,
+            claimed: manifest.edges,
+            manifest_path,
+            done: false,
+        };
+        Ok((manifest, edges))
+    }
+
+    /// Opens an explicit list of text-encoded files. There is no manifest,
+    /// so nothing is verified: this is for files the caller wrote itself
+    /// (scratch spill runs), not for published sets.
+    pub fn open_files(paths: Vec<PathBuf>) -> EdgeFileIter {
+        EdgeFileIter::with_encoding(paths, EdgeEncoding::Text)
+    }
+
+    /// Reads every edge of a manifest-described directory into memory.
+    pub fn read_dir_all(dir: &Path) -> Result<(Manifest, Vec<Edge>)> {
+        let (manifest, iter) = Self::open_dir(dir)?;
+        // `open_dir` bounded the count by the bytes on disk.
         let mut edges = Vec::with_capacity(manifest.edges as usize);
-        let mut digest = EdgeDigest::new();
         for e in iter {
-            let e = e?;
-            digest.update(e);
-            edges.push(e);
-        }
-        if !digest.same_stream(&manifest.digest) {
-            return Err(Error::manifest(
-                dir.join(crate::manifest::MANIFEST_NAME),
-                format!(
-                    "edge stream does not match manifest digest \
-                     (read {} edges, manifest says {})",
-                    digest.count, manifest.edges
-                ),
-            ));
+            edges.push(e?);
         }
         Ok((manifest, edges))
+    }
+}
+
+/// An edge stream checked against the manifest it was opened from: items
+/// pass through while a running digest is kept, and when the inner stream
+/// ends without matching the manifest's digest one final `Err` is yielded.
+/// Iteration ends after any `Err`.
+#[derive(Debug)]
+pub struct VerifiedEdges<I> {
+    inner: I,
+    seen: EdgeDigest,
+    expect: EdgeDigest,
+    claimed: u64,
+    manifest_path: PathBuf,
+    done: bool,
+}
+
+impl<I: Iterator<Item = Result<Edge>>> Iterator for VerifiedEdges<I> {
+    type Item = Result<Edge>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        match self.inner.next() {
+            Some(Ok(e)) => {
+                self.seen.update(e);
+                Some(Ok(e))
+            }
+            Some(Err(e)) => {
+                self.done = true;
+                Some(Err(e))
+            }
+            None => {
+                self.done = true;
+                (!self.seen.same_stream(&self.expect)).then(|| {
+                    Err(Error::manifest(
+                        &self.manifest_path,
+                        format!(
+                            "edge stream does not match manifest digest \
+                             (read {} edges, manifest says {})",
+                            self.seen.count, self.claimed
+                        ),
+                    ))
+                })
+            }
+        }
     }
 }
 
@@ -83,10 +154,6 @@ pub struct EdgeFileIter {
 }
 
 impl EdgeFileIter {
-    fn new(paths: Vec<PathBuf>) -> Self {
-        Self::with_encoding(paths, EdgeEncoding::Text)
-    }
-
     fn with_encoding(paths: Vec<PathBuf>, encoding: EdgeEncoding) -> Self {
         Self {
             paths: paths.into_iter(),
@@ -278,6 +345,54 @@ mod tests {
         writeln!(f, "7\t7").unwrap();
         drop(f);
         let err = EdgeReader::read_dir_all(td.path()).unwrap_err();
+        assert!(err.to_string().contains("digest"), "{err}");
+        // The stream itself is the verifier: all 11 edges, then one `Err`.
+        let (_, iter) = EdgeReader::open_dir(td.path()).unwrap();
+        let items: Vec<Result<Edge>> = iter.collect();
+        assert_eq!(items.len(), 12);
+        assert!(items[..11].iter().all(|r| r.is_ok()));
+        let msg = items[11].as_ref().unwrap_err().to_string();
+        assert!(msg.contains("read 11 edges, manifest says 10"), "{msg}");
+    }
+
+    #[test]
+    fn forged_edge_count_rejected_at_open() {
+        // Internally consistent forgery: only the bytes on disk can tell.
+        let td = TempDir::new("ppbench-reader").unwrap();
+        let mut m = write_edges(
+            td.path(),
+            "edges",
+            1,
+            &edges(10),
+            None,
+            None,
+            SortState::Unsorted,
+        )
+        .unwrap();
+        m.edges = u64::MAX;
+        m.digest.count = u64::MAX;
+        m.files[0].edges = u64::MAX;
+        m.save(td.path()).unwrap();
+        let err = EdgeReader::open_dir(td.path()).unwrap_err();
+        assert!(err.to_string().contains("at most"), "{err}");
+    }
+
+    #[test]
+    fn custom_parser_gets_the_same_verification() {
+        let td = TempDir::new("ppbench-reader").unwrap();
+        write_edges(
+            td.path(),
+            "edges",
+            2,
+            &edges(10),
+            None,
+            None,
+            SortState::Unsorted,
+        )
+        .unwrap();
+        let short = edges(9).into_iter().map(Ok);
+        let (_, iter) = EdgeReader::open_dir_with(td.path(), |_| short).unwrap();
+        let err = iter.collect::<Result<Vec<Edge>>>().unwrap_err();
         assert!(err.to_string().contains("digest"), "{err}");
     }
 

@@ -6,9 +6,15 @@
 //! file set — the decomposition the paper assumes when it notes that "each
 //! processor would hold a set of rows, since this corresponds to how the
 //! files have been sorted in kernel 1".
+//!
+//! One file is one [`ShardWriter`] — the only place edges are encoded,
+//! buffered, flushed and fsynced. A file *set* is shard writers plus a
+//! manifest: [`EdgeWriter`] rolls from one shard to the next serially,
+//! kernel 0's sharded path runs one per worker, and both join the per-file
+//! digests with [`EdgeDigest::concat`], so they produce identical sets.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::checksum::EdgeDigest;
@@ -16,45 +22,11 @@ use crate::format;
 use crate::manifest::{EdgeEncoding, FileEntry, Manifest, SortState};
 use crate::{Edge, Error, Result};
 
-/// Streams edges into `num_files` tab-separated files inside a directory,
-/// producing a [`Manifest`] on [`EdgeWriter::finish`].
-///
-/// By default the writer is **durable**, honoring the spec's "non-volatile
-/// storage" requirement: every data file is fsynced when it is closed, the
-/// directory is fsynced before the manifest is published, and the manifest
-/// itself is written via fsync + atomic rename. A crash therefore can never
-/// leave a manifest naming files whose contents did not reach disk. Callers
-/// that don't need the guarantee (tests, scratch spill runs) opt out with
-/// [`EdgeWriter::durable`]`(false)`.
-#[derive(Debug)]
-pub struct EdgeWriter {
-    dir: PathBuf,
-    basename: String,
-    num_files: usize,
-    capacity_per_file: u64,
-    files: Vec<FileEntry>,
-    current: Option<BufWriter<File>>,
-    current_count: u64,
-    digest: EdgeDigest,
-    line_buf: Vec<u8>,
-    batch_buf: Vec<u8>,
-    encoding: EdgeEncoding,
-    durable: bool,
-}
-
-/// Buffer size for file writes; large enough that syscall overhead is
-/// negligible at every benchmark scale.
+/// Encoded bytes gathered before each `write` to the file; large enough
+/// that syscall overhead is negligible at every benchmark scale.
 const WRITE_BUF_BYTES: usize = 1 << 20;
 
-/// Edges encoded per segment in the bulk write paths. Bounds the encode
-/// buffer (~700 KiB of text at 20-digit ids) independently of caller chunk
-/// sizes.
-const BATCH_EDGES: u64 = 1 << 14;
-
 /// File name of shard `index` of a file set: `basename-NNNNN.<ext>`.
-///
-/// Shared by [`EdgeWriter`] and [`ShardWriter`] so a set written by parallel
-/// shard writers is byte-for-byte the set the serial writer produces.
 pub fn shard_file_name(basename: &str, index: usize, encoding: EdgeEncoding) -> String {
     format!("{basename}-{index:05}.{}", encoding.extension())
 }
@@ -66,18 +38,6 @@ fn validate_basename(basename: &str) -> Result<()> {
     Ok(())
 }
 
-#[inline]
-fn encode_edge(encoding: EdgeEncoding, edge: Edge, buf: &mut Vec<u8>) {
-    buf.clear();
-    match encoding {
-        EdgeEncoding::Text => format::encode_line(edge, buf),
-        EdgeEncoding::Binary => {
-            buf.extend_from_slice(&edge.u.to_le_bytes());
-            buf.extend_from_slice(&edge.v.to_le_bytes());
-        }
-    }
-}
-
 /// Fsyncs the directory itself so the directory entries of freshly created
 /// files survive power loss (POSIX persists new entries only once the
 /// *directory* is synced, independently of the files' own fsyncs).
@@ -86,16 +46,147 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
     f.sync_all().map_err(|e| Error::io(dir, e))
 }
 
-/// Publishes `manifest` over data files that are already fully written —
-/// the assembly step for parallel [`ShardWriter`]s. With `durable`, the
-/// directory is fsynced *before* the manifest is saved (so every data file's
-/// directory entry is on disk first) and the manifest itself is written
-/// durably; the manifest is thus the commit point of the file set.
+/// Publishes `manifest` over data files that are already fully written.
+/// With `durable`, the directory is fsynced *before* the manifest is saved
+/// (so every data file's directory entry is on disk first) and the
+/// manifest itself is written durably; the manifest is thus the commit
+/// point of the file set.
 pub fn publish_manifest(dir: &Path, manifest: &Manifest, durable: bool) -> Result<()> {
     if durable {
         sync_dir(dir)?;
     }
     manifest.save_with(dir, durable)
+}
+
+/// Writes exactly one file of an edge file set: the one encoder, write
+/// buffer, flush and fsync of the storage layer.
+///
+/// A `ShardWriter` writes no manifest: it produces its [`FileEntry`] plus
+/// the [`EdgeDigest`] of its own slice of the stream, and whoever owns the
+/// set joins the digests in file order with [`EdgeDigest::concat`] and
+/// commits via [`publish_manifest`] — [`EdgeWriter`] serially, kernel 0's
+/// sharded path from one writer per worker. Both therefore produce
+/// byte-identical sets.
+#[derive(Debug)]
+pub struct ShardWriter {
+    path: PathBuf,
+    name: String,
+    file: File,
+    /// Encoded edges not yet handed to `file`.
+    buf: Vec<u8>,
+    digest: EdgeDigest,
+    encoding: EdgeEncoding,
+    durable: bool,
+}
+
+impl ShardWriter {
+    /// Creates the writer for shard `index` of the set named `basename` in
+    /// `dir`. With `durable`, the file is fsynced on [`ShardWriter::finish`].
+    pub fn create(
+        dir: &Path,
+        basename: &str,
+        index: usize,
+        encoding: EdgeEncoding,
+        durable: bool,
+    ) -> Result<Self> {
+        validate_basename(basename)?;
+        std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
+        let name = shard_file_name(basename, index, encoding);
+        let path = dir.join(&name);
+        let file = File::create(&path).map_err(|e| Error::io(&path, e))?;
+        Ok(Self {
+            path,
+            name,
+            file,
+            buf: Vec::with_capacity(WRITE_BUF_BYTES + format::MAX_LINE_BYTES),
+            digest: EdgeDigest::new(),
+            encoding,
+            durable,
+        })
+    }
+
+    /// Writes one edge to the shard.
+    #[inline]
+    pub fn write(&mut self, edge: Edge) -> Result<()> {
+        self.write_all(std::slice::from_ref(&edge))
+    }
+
+    /// Writes a slice of edges: each is encoded straight into the one
+    /// buffer, which goes to the file in [`WRITE_BUF_BYTES`] pieces — what
+    /// lets kernel 0 stream at device speed.
+    pub fn write_all(&mut self, edges: &[Edge]) -> Result<()> {
+        for &e in edges {
+            match self.encoding {
+                EdgeEncoding::Text => format::encode_line(e, &mut self.buf),
+                EdgeEncoding::Binary => {
+                    self.buf.extend_from_slice(&e.u.to_le_bytes());
+                    self.buf.extend_from_slice(&e.v.to_le_bytes());
+                }
+            }
+            self.digest.update(e);
+            if self.buf.len() >= WRITE_BUF_BYTES {
+                self.flush_buf()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn flush_buf(&mut self) -> Result<()> {
+        self.file
+            .write_all(&self.buf)
+            .map_err(|e| Error::io(&self.path, e))?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Number of edges written to this shard so far.
+    pub fn edges_written(&self) -> u64 {
+        self.digest.count
+    }
+
+    /// Flushes (and fsyncs, when durable) the file; returns its manifest
+    /// entry and the digest of the shard's slice of the stream.
+    pub fn finish(mut self) -> Result<(FileEntry, EdgeDigest)> {
+        self.flush_buf()?;
+        if self.durable {
+            // Contents must reach non-volatile storage before a manifest
+            // can name this file.
+            self.file.sync_all().map_err(|e| Error::io(&self.path, e))?;
+        }
+        Ok((
+            FileEntry {
+                name: self.name,
+                edges: self.digest.count,
+            },
+            self.digest,
+        ))
+    }
+}
+
+/// Streams edges into `num_files` tab-separated files inside a directory,
+/// producing a [`Manifest`] on [`EdgeWriter::finish`]: a roller over
+/// [`ShardWriter`] that opens the next file when the current one holds its
+/// share, and joins the per-file digests as files close.
+///
+/// By default the writer is **durable**, honoring the spec's "non-volatile
+/// storage" requirement: every data file is fsynced when it is closed, the
+/// directory is fsynced before the manifest is published, and the manifest
+/// itself is written via fsync + atomic rename. A crash therefore can never
+/// leave a manifest naming files whose contents did not reach disk. Callers
+/// that don't need the guarantee (tests) opt out with
+/// [`EdgeWriter::durable`]`(false)`.
+#[derive(Debug)]
+pub struct EdgeWriter {
+    dir: PathBuf,
+    basename: String,
+    num_files: usize,
+    capacity_per_file: u64,
+    /// Closed files and the digest of their concatenated streams.
+    files: Vec<FileEntry>,
+    digest: EdgeDigest,
+    current: Option<ShardWriter>,
+    encoding: EdgeEncoding,
+    durable: bool,
 }
 
 impl EdgeWriter {
@@ -128,19 +219,14 @@ impl EdgeWriter {
             return Err(Error::InvalidConfig("num_files must be at least 1".into()));
         }
         validate_basename(basename)?;
-        std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
-        let capacity_per_file = expected_edges.div_ceil(num_files as u64).max(1);
         Ok(Self {
             dir: dir.to_path_buf(),
             basename: basename.to_string(),
             num_files,
-            capacity_per_file,
+            capacity_per_file: expected_edges.div_ceil(num_files as u64).max(1),
             files: Vec::with_capacity(num_files),
-            current: None,
-            current_count: 0,
             digest: EdgeDigest::new(),
-            line_buf: Vec::with_capacity(format::MAX_LINE_BYTES),
-            batch_buf: Vec::new(),
+            current: None,
             encoding,
             durable: true,
         })
@@ -155,125 +241,61 @@ impl EdgeWriter {
         self
     }
 
-    fn file_name(&self, idx: usize) -> String {
-        shard_file_name(&self.basename, idx, self.encoding)
-    }
-
-    fn roll_file(&mut self) -> Result<()> {
-        self.close_current()?;
-        let name = self.file_name(self.files.len());
-        let path = self.dir.join(&name);
-        let file = File::create(&path).map_err(|e| Error::io(&path, e))?;
-        self.current = Some(BufWriter::with_capacity(WRITE_BUF_BYTES, file));
-        self.files.push(FileEntry { name, edges: 0 });
-        self.current_count = 0;
-        Ok(())
-    }
-
+    /// Closes the current file, folding its entry and digest into the set.
     fn close_current(&mut self) -> Result<()> {
-        if let Some(mut w) = self.current.take() {
-            w.flush().map_err(|e| Error::io(&self.dir, e))?;
-            if self.durable {
-                // Contents must reach non-volatile storage before the
-                // manifest can name this file.
-                w.get_ref()
-                    .sync_all()
-                    .map_err(|e| Error::io(&self.dir, e))?;
-            }
-            if let Some(last) = self.files.last_mut() {
-                last.edges = self.current_count;
-            }
+        if let Some(shard) = self.current.take() {
+            let (entry, digest) = shard.finish()?;
+            self.digest = self.digest.concat(&digest);
+            self.files.push(entry);
         }
         Ok(())
+    }
+
+    /// The file the next edge goes to, and how many edges it still has room
+    /// for — unlimited once the last file is reached (overflow lands there).
+    fn current_shard(&mut self) -> Result<(&mut ShardWriter, u64)> {
+        let capacity = self.capacity_per_file;
+        let full = |w: &ShardWriter| w.edges_written() >= capacity;
+        if self.files.len() + 1 < self.num_files && self.current.as_ref().is_some_and(full) {
+            self.close_current()?;
+        }
+        let last = self.files.len() + 1 >= self.num_files;
+        let shard = match &mut self.current {
+            Some(shard) => shard,
+            slot => slot.insert(ShardWriter::create(
+                &self.dir,
+                &self.basename,
+                self.files.len(),
+                self.encoding,
+                self.durable,
+            )?),
+        };
+        let room = if last {
+            u64::MAX
+        } else {
+            capacity - shard.edges_written()
+        };
+        Ok((shard, room))
     }
 
     /// Writes one edge.
     #[inline]
     pub fn write(&mut self, edge: Edge) -> Result<()> {
-        let need_roll = match &self.current {
-            None => true,
-            Some(_) => {
-                self.current_count >= self.capacity_per_file && self.files.len() < self.num_files
-            }
-        };
-        if need_roll {
-            self.roll_file()?;
-        }
-        encode_edge(self.encoding, edge, &mut self.line_buf);
-        let file = self.current.as_mut().ok_or_else(|| {
-            Error::io(
-                &self.dir,
-                std::io::Error::other("no open output file after roll"),
-            )
-        })?;
-        file.write_all(&self.line_buf)
-            .map_err(|e| Error::io(&self.dir, e))?;
-        self.current_count += 1;
-        self.digest.update(edge);
-        Ok(())
+        self.current_shard()?.0.write(edge)
     }
 
-    /// Writes a slice of edges.
-    ///
-    /// Equivalent to calling [`EdgeWriter::write`] per edge (same file
-    /// rolls, same digest), but encodes whole segments into one reused
-    /// buffer and hands them to the file in single `write_all` calls, which
-    /// is what lets kernel 0 stream at device speed.
+    /// Writes a slice of edges: the same file rolls, bytes and digest as
+    /// calling [`EdgeWriter::write`] per edge.
     pub fn write_all(&mut self, edges: &[Edge]) -> Result<()> {
         let mut rest = edges;
         while !rest.is_empty() {
-            let need_roll = match &self.current {
-                None => true,
-                Some(_) => {
-                    self.current_count >= self.capacity_per_file
-                        && self.files.len() < self.num_files
-                }
-            };
-            if need_roll {
-                self.roll_file()?;
-            }
-            // Room left in the current file — unlimited once the last file
-            // is reached (overflow lands there, as in `write`).
-            let room = if self.files.len() < self.num_files {
-                self.capacity_per_file - self.current_count
-            } else {
-                u64::MAX
-            };
-            let take = (rest.len() as u64).min(room).min(BATCH_EDGES) as usize;
+            let (shard, room) = self.current_shard()?;
+            let take = (rest.len() as u64).min(room) as usize;
             let (seg, tail) = rest.split_at(take);
-            self.batch_buf.clear();
-            match self.encoding {
-                EdgeEncoding::Text => {
-                    for &e in seg {
-                        format::encode_line(e, &mut self.batch_buf);
-                        self.digest.update(e);
-                    }
-                }
-                EdgeEncoding::Binary => {
-                    for &e in seg {
-                        self.batch_buf.extend_from_slice(&e.u.to_le_bytes());
-                        self.batch_buf.extend_from_slice(&e.v.to_le_bytes());
-                        self.digest.update(e);
-                    }
-                }
-            }
-            let file = self.current.as_mut().ok_or_else(|| {
-                Error::io(
-                    &self.dir,
-                    std::io::Error::other("no open output file after roll"),
-                )
-            })?;
-            file.write_all(&self.batch_buf)
-                .map_err(|e| Error::io(&self.dir, e))?;
-            self.current_count += take as u64;
+            shard.write_all(seg)?;
             rest = tail;
         }
         Ok(())
-    }
-
-    /// Number of edges written so far.
-    pub fn edges_written(&self) -> u64 {
-        self.digest.count
     }
 
     /// Flushes everything, pads the file set to `num_files` (empty files) if
@@ -286,10 +308,13 @@ impl EdgeWriter {
     ) -> Result<Manifest> {
         // Guarantee the promised number of files exists even for short
         // streams: downstream tools may map files to workers.
-        while self.files.len() < self.num_files {
-            self.roll_file()?;
+        loop {
+            self.close_current()?;
+            if self.files.len() >= self.num_files {
+                break;
+            }
+            self.current_shard()?;
         }
-        self.close_current()?;
         let manifest = Manifest {
             scale,
             vertex_bound,
@@ -297,116 +322,10 @@ impl EdgeWriter {
             sort_state,
             encoding: self.encoding,
             digest: self.digest,
-            files: std::mem::take(&mut self.files),
+            files: self.files,
         };
         publish_manifest(&self.dir, &manifest, self.durable)?;
         Ok(manifest)
-    }
-}
-
-/// Writes exactly one file of an edge file set — the per-shard half of a
-/// parallel kernel-0 writer.
-///
-/// Unlike [`EdgeWriter`], a `ShardWriter` writes no manifest: each shard
-/// produces its [`FileEntry`] plus the [`EdgeDigest`] of its own slice of
-/// the stream, and the coordinator merges the digests in file order with
-/// [`EdgeDigest::concat`] and commits the set via [`publish_manifest`].
-/// Because the file naming ([`shard_file_name`]) and encoding match
-/// [`EdgeWriter`] exactly, a sharded set is byte-identical to a serial one.
-#[derive(Debug)]
-pub struct ShardWriter {
-    path: PathBuf,
-    name: String,
-    writer: BufWriter<File>,
-    digest: EdgeDigest,
-    line_buf: Vec<u8>,
-    batch_buf: Vec<u8>,
-    encoding: EdgeEncoding,
-    durable: bool,
-}
-
-impl ShardWriter {
-    /// Creates the writer for shard `index` of the set named `basename` in
-    /// `dir`. With `durable`, the file is fsynced on [`ShardWriter::finish`].
-    pub fn create(
-        dir: &Path,
-        basename: &str,
-        index: usize,
-        encoding: EdgeEncoding,
-        durable: bool,
-    ) -> Result<Self> {
-        validate_basename(basename)?;
-        std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
-        let name = shard_file_name(basename, index, encoding);
-        let path = dir.join(&name);
-        let file = File::create(&path).map_err(|e| Error::io(&path, e))?;
-        Ok(Self {
-            path,
-            name,
-            writer: BufWriter::with_capacity(WRITE_BUF_BYTES, file),
-            digest: EdgeDigest::new(),
-            line_buf: Vec::with_capacity(format::MAX_LINE_BYTES),
-            batch_buf: Vec::new(),
-            encoding,
-            durable,
-        })
-    }
-
-    /// Writes one edge to the shard.
-    #[inline]
-    pub fn write(&mut self, edge: Edge) -> Result<()> {
-        encode_edge(self.encoding, edge, &mut self.line_buf);
-        self.writer
-            .write_all(&self.line_buf)
-            .map_err(|e| Error::io(&self.path, e))?;
-        self.digest.update(edge);
-        Ok(())
-    }
-
-    /// Writes a slice of edges; same bytes and digest as per-edge
-    /// [`ShardWriter::write`], with segment-batched encoding.
-    pub fn write_all(&mut self, edges: &[Edge]) -> Result<()> {
-        for seg in edges.chunks(BATCH_EDGES as usize) {
-            self.batch_buf.clear();
-            match self.encoding {
-                EdgeEncoding::Text => {
-                    for &e in seg {
-                        format::encode_line(e, &mut self.batch_buf);
-                        self.digest.update(e);
-                    }
-                }
-                EdgeEncoding::Binary => {
-                    for &e in seg {
-                        self.batch_buf.extend_from_slice(&e.u.to_le_bytes());
-                        self.batch_buf.extend_from_slice(&e.v.to_le_bytes());
-                        self.digest.update(e);
-                    }
-                }
-            }
-            self.writer
-                .write_all(&self.batch_buf)
-                .map_err(|e| Error::io(&self.path, e))?;
-        }
-        Ok(())
-    }
-
-    /// Flushes (and fsyncs, when durable) the file; returns its manifest
-    /// entry and the digest of the shard's slice of the stream.
-    pub fn finish(mut self) -> Result<(FileEntry, EdgeDigest)> {
-        self.writer.flush().map_err(|e| Error::io(&self.path, e))?;
-        if self.durable {
-            self.writer
-                .get_ref()
-                .sync_all()
-                .map_err(|e| Error::io(&self.path, e))?;
-        }
-        Ok((
-            FileEntry {
-                name: self.name,
-                edges: self.digest.count,
-            },
-            self.digest,
-        ))
     }
 }
 
@@ -585,55 +504,60 @@ mod tests {
     fn sharded_set_identical_to_serial_writer() {
         // The parallel-kernel-0 contract: per-file shard writers plus
         // digest concat plus publish_manifest reproduce the serial
-        // EdgeWriter's output byte for byte, manifest included.
+        // EdgeWriter's output byte for byte, manifest included — short and
+        // empty tail shards too.
         let td = TempDir::new("ppbench-writer").unwrap();
-        let es = edges(10);
-        let serial = write_edges(
-            &td.join("serial"),
-            "edges",
-            3,
-            &es,
-            Some(4),
-            Some(32),
-            SortState::Unsorted,
-        )
-        .unwrap();
-        // ceil(10/3) = 4 edges per shard; shard 2 gets the short tail.
-        let dir = td.join("sharded");
-        let mut parts = Vec::new();
-        for (i, slice) in es.chunks(4).enumerate() {
-            let mut w = ShardWriter::create(&dir, "edges", i, EdgeEncoding::Text, false).unwrap();
-            for &e in slice {
-                w.write(e).unwrap();
+        let es = edges(100);
+        for num_files in [1usize, 3, 7] {
+            let serial_dir = td.join(&format!("serial-{num_files}"));
+            let serial = write_edges(
+                &serial_dir,
+                "edges",
+                num_files,
+                &es,
+                Some(4),
+                Some(32),
+                SortState::Unsorted,
+            )
+            .unwrap();
+            let dir = td.join(&format!("sharded-{num_files}"));
+            let cap = es.len().div_ceil(num_files);
+            let mut digest = EdgeDigest::new();
+            let mut files = Vec::new();
+            for i in 0..num_files {
+                let lo = (i * cap).min(es.len());
+                let hi = (lo + cap).min(es.len());
+                let mut w =
+                    ShardWriter::create(&dir, "edges", i, EdgeEncoding::Text, false).unwrap();
+                for &e in &es[lo..hi] {
+                    w.write(e).unwrap();
+                }
+                let (entry, d) = w.finish().unwrap();
+                digest = digest.concat(&d);
+                files.push(entry);
             }
-            parts.push(w.finish().unwrap());
+            let manifest = Manifest {
+                scale: Some(4),
+                vertex_bound: Some(32),
+                edges: digest.count,
+                sort_state: SortState::Unsorted,
+                encoding: EdgeEncoding::Text,
+                digest,
+                files,
+            };
+            publish_manifest(&dir, &manifest, false).unwrap();
+            assert_eq!(manifest, serial, "{num_files} files");
+            for name in serial
+                .files
+                .iter()
+                .map(|f| f.name.as_str())
+                .chain([crate::MANIFEST_NAME])
+            {
+                let a = std::fs::read(serial_dir.join(name)).unwrap();
+                let b = std::fs::read(dir.join(name)).unwrap();
+                assert_eq!(a, b, "{name} differs at {num_files} files");
+            }
         }
-        let mut digest = EdgeDigest::new();
-        let mut files = Vec::new();
-        for (entry, d) in parts {
-            digest = digest.concat(&d);
-            files.push(entry);
-        }
-        let manifest = Manifest {
-            scale: Some(4),
-            vertex_bound: Some(32),
-            edges: digest.count,
-            sort_state: SortState::Unsorted,
-            encoding: EdgeEncoding::Text,
-            digest,
-            files,
-        };
-        publish_manifest(&dir, &manifest, false).unwrap();
-        assert_eq!(manifest, serial);
-        for f in &serial.files {
-            let a = std::fs::read(td.join("serial").join(&f.name)).unwrap();
-            let b = std::fs::read(dir.join(&f.name)).unwrap();
-            assert_eq!(a, b, "{} differs", f.name);
-        }
-        assert_eq!(
-            Manifest::load(&dir).unwrap(),
-            Manifest::load(&td.join("serial")).unwrap()
-        );
     }
 
     #[test]

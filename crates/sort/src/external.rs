@@ -1,24 +1,31 @@
-//! Out-of-core edge sorting: run generation + k-way merge.
+//! The run engine: run generation + k-way merge — kernel 1's one sort.
 //!
 //! The classic external merge sort the paper calls for when "u and v are too
-//! large to fit in memory":
+//! large to fit in memory", with the in-memory sort as its no-spill case:
 //!
 //! 1. **Run generation** — fill a buffer of at most `budget_edges` edges
 //!    from the input stream, sort it in memory (stable radix), and spill it
-//!    as an ordinary edge file (`run-NNNNN.tsv`) via `ppbench-io`.
+//!    as an ordinary text edge file (`run-NNNNN.tsv`) via `ppbench-io`. A
+//!    buffer that never fills is never spilled: it becomes the set's single
+//!    sorted in-memory run.
 //! 2. **Merge** — stream all runs back through a stable merge and feed the
 //!    globally sorted stream to the caller's sink.
 //!
 //! Spilled runs use the same TSV format as the benchmark's own files, so the
 //! spill traffic exercises exactly the I/O path the benchmark measures.
+//! They are scratch the sorter wrote itself moments ago — no manifest is
+//! published for them and none is needed to read them back.
 //!
-//! The two phases are exposed separately as [`RunWriter`] (push edges,
-//! spill at the budget) and [`RunSet::into_stream`] (a [`MergeStream`]
-//! iterator over the sorted order), so a consumer can build its output
-//! **mid-merge** — kernel 2's fused path constructs CSR straight off this
-//! stream without ever materializing the sorted edge list.
-//! [`ExternalSorter::sort`] composes the two for callers that just want a
-//! sink called in sorted order.
+//! There is one way to fill — a [`RunWriter`] (push edges, spill at the
+//! budget) sealed into a [`RunSet`] — and the consumer chooses where the
+//! sorted stream goes **mid-merge**: [`RunSet::into_stream`] is a
+//! [`MergeStream`] iterator (the fused path feeds it straight into CSR
+//! construction without ever materializing the sorted edge list), and
+//! [`RunSet::for_each_batch`] hands a slice-taking sink the same stream
+//! (staged kernel 1's edge writer). The latter merges spilled runs on a
+//! worker thread, so decoding the runs overlaps the sink's encoding and
+//! writing (worth 20–30 % of a spilling kernel 1 on two cores; the
+//! measurements are in EXPERIMENTS.md, "Design diet", third cut).
 //!
 //! Run sorting is parallel when the pool has more than one worker: the
 //! buffer is split into per-thread contiguous chunks, each chunk is radix
@@ -34,8 +41,7 @@ use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use ppbench_io::checksum::EdgeDigest;
-use ppbench_io::{Edge, EdgeReader, EdgeWriter, Error, Result};
+use ppbench_io::{Edge, EdgeEncoding, EdgeReader, Error, Result, ShardWriter};
 use rayon::prelude::*;
 
 use crate::kway::{KWayMerge, TwoWayMerge};
@@ -50,10 +56,6 @@ pub struct ExternalStats {
     pub runs: usize,
     /// Largest number of edges held in memory at once.
     pub peak_buffer: usize,
-    /// Digest of the input stream as consumed, in arrival order. Callers
-    /// that hold a manifest for the input verify it against this to catch
-    /// truncated-but-parseable files.
-    pub input_digest: EdgeDigest,
 }
 
 /// Below this buffer size a parallel chunk sort costs more in thread spawns
@@ -62,6 +64,13 @@ pub struct ExternalStats {
 /// spawning and joining a pool for less than that is where the committed
 /// 2-thread sweep numbers lost to 1-thread.
 const PAR_SORT_MIN: usize = 1 << 18;
+
+/// Edges per slice [`RunSet::for_each_batch`] gathers from a merge: big
+/// enough to amortize the hand-off, small enough to bound what is in flight.
+const MERGE_BATCH: usize = 1 << 14;
+
+/// How many merged slices may wait between the merger and the sink.
+const IN_FLIGHT: usize = 4;
 
 /// Stably sorts `buffer` under `key` and feeds the sorted order to `emit`.
 ///
@@ -133,41 +142,27 @@ impl ExternalSorter {
         })
     }
 
-    /// Begins an incremental sort: push edges into the returned
-    /// [`RunWriter`], seal it with [`RunWriter::finish`], then merge with
-    /// [`RunSet::into_stream`]. [`ExternalSorter::sort`] composes exactly
-    /// this sequence; the split form exists so a consumer can take the
-    /// sorted stream mid-merge (the fused kernel-2 path) or move the
-    /// sealed [`RunSet`] to another thread before merging.
+    /// Begins a sort: push edges into the returned [`RunWriter`], seal it
+    /// with [`RunWriter::finish`], then drain the [`RunSet`] with
+    /// [`RunSet::into_stream`] or [`RunSet::for_each_batch`] — on this
+    /// thread or, since a sealed set is `Send`, on another.
     pub fn run_writer(&self) -> Result<RunWriter> {
-        std::fs::create_dir_all(&self.scratch_dir).map_err(|e| Error::io(&self.scratch_dir, e))?;
-        Ok(RunWriter {
+        Ok(self.run_writer_for(1 << 20))
+    }
+
+    /// [`ExternalSorter::run_writer`] with the buffer sized up front for
+    /// `expected_edges` (clamped to the budget), so a caller that knows its
+    /// input's size never regrows it. The scratch directory is created by
+    /// the first spill: a sort that stays in memory touches no storage.
+    pub fn run_writer_for(&self, expected_edges: usize) -> RunWriter {
+        RunWriter {
             scratch_dir: self.scratch_dir.clone(),
             budget_edges: self.budget_edges,
             key: self.key,
-            buffer: Vec::with_capacity(self.budget_edges.min(1 << 20)),
-            run_dirs: Vec::new(),
+            buffer: Vec::with_capacity(self.budget_edges.min(expected_edges)),
+            run_files: Vec::new(),
             stats: ExternalStats::default(),
-        })
-    }
-
-    /// Sorts `input`, delivering the sorted stream to `sink` one edge at a
-    /// time. Returns statistics. Scratch files are removed before returning.
-    pub fn sort<I, F>(&self, input: I, mut sink: F) -> Result<ExternalStats>
-    where
-        I: IntoIterator<Item = Result<Edge>>,
-        F: FnMut(Edge) -> Result<()>,
-    {
-        let mut writer = self.run_writer()?;
-        for edge in input {
-            writer.push(edge?)?;
         }
-        let set = writer.finish()?;
-        let stats = *set.stats();
-        for edge in set.into_stream()? {
-            sink(edge?)?;
-        }
-        Ok(stats)
     }
 }
 
@@ -180,14 +175,14 @@ pub struct RunWriter {
     budget_edges: usize,
     key: SortKey,
     buffer: Vec<Edge>,
-    run_dirs: Vec<PathBuf>,
+    run_files: Vec<PathBuf>,
     stats: ExternalStats,
 }
 
 impl RunWriter {
     /// Adds one edge, spilling a sorted run if the buffer is full.
+    #[inline]
     pub fn push(&mut self, edge: Edge) -> Result<()> {
-        self.stats.input_digest.update(edge);
         self.buffer.push(edge);
         self.stats.edges += 1;
         if self.buffer.len() >= self.budget_edges {
@@ -196,21 +191,21 @@ impl RunWriter {
         Ok(())
     }
 
-    /// The statistics accumulated so far (digest, edge count, spills).
-    pub fn stats(&self) -> &ExternalStats {
-        &self.stats
-    }
-
     /// Seals the run set. An unspilled buffer becomes a single fully
     /// sorted in-memory run (stable, thread-count invariant); otherwise
-    /// the remaining buffer is spilled and the set holds only run
-    /// directories, so it is cheap to move across threads.
+    /// the remaining buffer is spilled and the set holds only run file
+    /// paths, so it is cheap to move across threads.
     pub fn finish(mut self) -> Result<RunSet> {
         self.stats.peak_buffer = self.stats.peak_buffer.max(self.buffer.len());
-        if self.run_dirs.is_empty() {
+        let workers = rayon::current_num_threads().max(1);
+        let store = if !self.run_files.is_empty() {
+            if !self.buffer.is_empty() {
+                self.spill()?;
+            }
+            RunStore::Disk(self.run_files)
+        } else {
             self.stats.runs = usize::from(!self.buffer.is_empty());
-            let workers = rayon::current_num_threads().max(1);
-            let store = if workers <= 1 || self.buffer.len() < PAR_SORT_MIN {
+            if workers <= 1 || self.buffer.len() < PAR_SORT_MIN {
                 radix_sort_slice(&mut self.buffer, self.key);
                 RunStore::Memory(self.buffer)
             } else {
@@ -220,18 +215,10 @@ impl RunWriter {
                     Ok(())
                 })?;
                 RunStore::Memory(sorted)
-            };
-            return Ok(RunSet {
-                store,
-                key: self.key,
-                stats: self.stats,
-            });
-        }
-        if !self.buffer.is_empty() {
-            self.spill()?;
-        }
+            }
+        };
         Ok(RunSet {
-            store: RunStore::Disk(self.run_dirs),
+            store,
             key: self.key,
             stats: self.stats,
         })
@@ -239,15 +226,14 @@ impl RunWriter {
 
     fn spill(&mut self) -> Result<()> {
         self.stats.peak_buffer = self.stats.peak_buffer.max(self.buffer.len());
-        let dir = self
-            .scratch_dir
-            .join(format!("run-{:05}", self.run_dirs.len()));
         // Scratch runs are re-read immediately and deleted after the merge;
         // fsyncing them would only tax the spill path.
-        let mut w = EdgeWriter::create(&dir, "run", 1, self.buffer.len() as u64)?.durable(false);
+        let index = self.run_files.len();
+        let mut w =
+            ShardWriter::create(&self.scratch_dir, "run", index, EdgeEncoding::Text, false)?;
         sort_stably_into(&mut self.buffer, self.key, |e| w.write(e))?;
-        w.finish(None, None, self.key.sort_state())?;
-        self.run_dirs.push(dir);
+        let (entry, _) = w.finish()?;
+        self.run_files.push(self.scratch_dir.join(entry.name));
         self.stats.runs += 1;
         self.buffer.clear();
         Ok(())
@@ -255,7 +241,7 @@ impl RunWriter {
 }
 
 /// A sealed set of sorted runs: either one fully sorted in-memory run or
-/// the directories of spilled runs. `Send`, so a set written on one thread
+/// the files of spilled runs. `Send`, so a set written on one thread
 /// can be merged on another — the fused kernel-2 path seals one set per
 /// vertex-range bucket and opens each stream inside its own worker.
 #[derive(Debug)]
@@ -277,15 +263,52 @@ impl RunSet {
         &self.stats
     }
 
+    /// Hands the sorted stream to `sink` in order, a slice at a time — for
+    /// sinks that take slices (the edge writer encodes a segment per call).
+    /// An in-memory run is already one sorted slice and goes out whole.
+    /// Spilled runs are decoded and merged on a worker thread, which passes
+    /// `MERGE_BATCH`-edge slices (at most `IN_FLIGHT` ahead) to `sink`
+    /// on the calling thread, so reading the runs overlaps whatever the
+    /// sink does with the output.
+    pub fn for_each_batch(self, mut sink: impl FnMut(&[Edge]) -> Result<()>) -> Result<()> {
+        if let RunStore::Memory(run) = &self.store {
+            return sink(run);
+        }
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Vec<Edge>>>(IN_FLIGHT);
+        // `rx` is owned by the closure below, so it is dropped — unblocking
+        // a merger stuck in `send` — before the scope joins the merger.
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut stream = self.merge();
+                loop {
+                    let batch: Result<Vec<Edge>> = stream.by_ref().take(MERGE_BATCH).collect();
+                    let last = !matches!(&batch, Ok(b) if b.len() == MERGE_BATCH);
+                    // A failed send means the sink failed and hung up.
+                    if tx.send(batch).is_err() || last {
+                        return;
+                    }
+                }
+            });
+            for batch in rx {
+                sink(&batch?)?;
+            }
+            Ok(())
+        })
+    }
+
     /// Opens the merge, yielding the globally sorted edge stream.
     pub fn into_stream(self) -> Result<MergeStream> {
+        Ok(self.merge())
+    }
+
+    fn merge(self) -> MergeStream {
         let err: Rc<RefCell<Option<Error>>> = Rc::new(RefCell::new(None));
-        let (inner, run_dirs) = match self.store {
+        let (inner, run_files) = match self.store {
             RunStore::Memory(buffer) => (StreamInner::Mem(buffer.into_iter()), Vec::new()),
-            RunStore::Disk(dirs) => {
-                let mut runs: Vec<RunIter> = Vec::with_capacity(dirs.len());
-                for dir in &dirs {
-                    let (_, iter) = EdgeReader::open_dir(dir)?;
+            RunStore::Disk(files) => {
+                let mut runs: Vec<RunIter> = Vec::with_capacity(files.len());
+                for file in &files {
+                    let iter = EdgeReader::open_files(vec![file.clone()]);
                     let cell = Rc::clone(&err);
                     runs.push(Box::new(iter.map_while(move |r| match r {
                         Ok(e) => Some(e),
@@ -307,15 +330,15 @@ impl RunSet {
                         StreamInner::Heap(KWayMerge::new(rest, self.key))
                     }
                 };
-                (inner, dirs)
+                (inner, files)
             }
         };
-        Ok(MergeStream {
+        MergeStream {
             inner,
             err,
-            run_dirs,
+            run_files,
             failed: false,
-        })
+        }
     }
 }
 
@@ -334,7 +357,7 @@ enum StreamInner {
 pub struct MergeStream {
     inner: StreamInner,
     err: Rc<RefCell<Option<Error>>>,
-    run_dirs: Vec<PathBuf>,
+    run_files: Vec<PathBuf>,
     failed: bool,
 }
 
@@ -377,9 +400,9 @@ impl Iterator for MergeStream {
 
 impl Drop for MergeStream {
     fn drop(&mut self) {
-        for dir in &self.run_dirs {
+        for file in &self.run_files {
             // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the merge already succeeded or failed")
-            let _ = std::fs::remove_dir_all(dir);
+            let _ = std::fs::remove_file(file);
         }
     }
 }
@@ -397,16 +420,24 @@ mod tests {
             .collect()
     }
 
+    fn fill(sorter: &ExternalSorter, edges: &[Edge]) -> RunSet {
+        let mut writer = sorter.run_writer().unwrap();
+        for &e in edges {
+            writer.push(e).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
     fn run_external(edges: &[Edge], budget: usize, key: SortKey) -> (Vec<Edge>, ExternalStats) {
         let td = TempDir::new("ppbench-extsort").unwrap();
-        let sorter = ExternalSorter::new(td.path(), budget, key).unwrap();
+        let set = fill(&ExternalSorter::new(td.path(), budget, key).unwrap(), edges);
+        let stats = *set.stats();
         let mut out = Vec::new();
-        let stats = sorter
-            .sort(edges.iter().map(|&e| Ok(e)), |e| {
-                out.push(e);
-                Ok(())
-            })
-            .unwrap();
+        set.for_each_batch(|batch| {
+            out.extend_from_slice(batch);
+            Ok(())
+        })
+        .unwrap();
         (out, stats)
     }
 
@@ -459,14 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn input_digest_records_arrival_order() {
-        let edges = random_edges(300, 64, 9);
-        let (_, stats) = run_external(&edges, 50, SortKey::Start);
-        let expect = ppbench_io::checksum::EdgeDigest::of_edges(&edges);
-        assert!(stats.input_digest.same_stream(&expect));
-    }
-
-    #[test]
     fn parallel_chunk_sort_is_thread_count_invariant() {
         // The stable chunk merge must reproduce the serial stable sort
         // bit for bit for any worker count, including buffers above
@@ -493,28 +516,24 @@ mod tests {
     }
 
     #[test]
-    fn run_writer_stream_matches_sort() {
-        // The split API (run_writer → finish → into_stream) is what sort()
-        // composes; both must produce the identical stream and stats, with
-        // and without spills.
-        let edges = random_edges(2000, 300, 7);
-        for budget in [150usize, 1 << 20] {
-            let (via_sort, sort_stats) = run_external(&edges, budget, SortKey::StartEnd);
+    fn stream_and_batches_deliver_the_same_order() {
+        // The two ways to drain a set — the iterator and the slice-at-a-time
+        // form (which merges on a worker) — must agree, with and without
+        // spills, including a merge longer than one batch.
+        let edges = random_edges(3 * MERGE_BATCH + 17, 300, 7);
+        for budget in [MERGE_BATCH, 1 << 20] {
+            let (via_batches, stats) = run_external(&edges, budget, SortKey::StartEnd);
             let td = TempDir::new("ppbench-extsort").unwrap();
             let sorter = ExternalSorter::new(td.path(), budget, SortKey::StartEnd).unwrap();
-            let mut writer = sorter.run_writer().unwrap();
-            for &e in &edges {
-                writer.push(e).unwrap();
-            }
-            let set = writer.finish().unwrap();
-            let split_stats = *set.stats();
-            let via_split: Vec<Edge> = set
+            let set = fill(&sorter, &edges);
+            assert_eq!(*set.stats(), stats, "budget {budget}");
+            let via_stream: Vec<Edge> = set
                 .into_stream()
                 .unwrap()
                 .collect::<Result<Vec<Edge>>>()
                 .unwrap();
-            assert_eq!(via_split, via_sort, "budget {budget}");
-            assert_eq!(split_stats, sort_stats, "budget {budget}");
+            assert_eq!(via_stream, via_batches, "budget {budget}");
+            assert!(SortKey::StartEnd.is_sorted(&via_stream));
         }
     }
 
@@ -523,11 +542,7 @@ mod tests {
         let edges = random_edges(600, 40, 11);
         let td = TempDir::new("ppbench-extsort").unwrap();
         let sorter = ExternalSorter::new(td.path(), 100, SortKey::Start).unwrap();
-        let mut writer = sorter.run_writer().unwrap();
-        for &e in &edges {
-            writer.push(e).unwrap();
-        }
-        let set = writer.finish().unwrap();
+        let set = fill(&sorter, &edges);
         let out = std::thread::scope(|s| {
             s.spawn(move || {
                 set.into_stream()
@@ -547,11 +562,8 @@ mod tests {
         let td = TempDir::new("ppbench-extsort").unwrap();
         let scratch = td.join("scratch");
         let sorter = ExternalSorter::new(&scratch, 8, SortKey::Start).unwrap();
-        let mut writer = sorter.run_writer().unwrap();
-        for &e in &random_edges(100, 50, 5) {
-            writer.push(e).unwrap();
-        }
-        let stream = writer.finish().unwrap().into_stream().unwrap();
+        let set = fill(&sorter, &random_edges(100, 50, 5));
+        let stream = set.into_stream().unwrap();
         // Abandon the merge after one edge; Drop must still clean up.
         drop(stream);
         let leftovers: Vec<_> = std::fs::read_dir(&scratch).unwrap().collect();
@@ -583,32 +595,28 @@ mod tests {
     }
 
     #[test]
-    fn input_errors_propagate() {
+    fn sink_error_stops_the_merge_without_deadlock() {
+        // Far more merged output than the channel holds, and a sink that
+        // fails on its first slice: the merger is parked in `send` when the
+        // sink hangs up, and must be released rather than joined first.
         let td = TempDir::new("ppbench-extsort").unwrap();
-        let sorter = ExternalSorter::new(td.path(), 4, SortKey::Start).unwrap();
-        let input = vec![
-            Ok(Edge::new(1, 1)),
-            Err(Error::InvalidConfig("boom".into())),
-        ];
-        let result = sorter.sort(input, |_| Ok(()));
-        assert!(result.is_err());
+        let scratch = td.join("scratch");
+        let sorter = ExternalSorter::new(&scratch, 2 * MERGE_BATCH, SortKey::Start).unwrap();
+        let set = fill(&sorter, &random_edges(8 * MERGE_BATCH, 1 << 12, 4));
+        let err = set
+            .for_each_batch(|_| Err(Error::InvalidConfig("sink full".into())))
+            .unwrap_err();
+        assert!(err.to_string().contains("sink full"), "{err}");
+        assert_eq!(std::fs::read_dir(&scratch).unwrap().count(), 0);
     }
 
     #[test]
-    fn sink_errors_propagate() {
+    fn run_read_errors_reach_the_batch_sink_caller() {
         let td = TempDir::new("ppbench-extsort").unwrap();
-        let sorter = ExternalSorter::new(td.path(), 4, SortKey::Start).unwrap();
-        let edges = random_edges(20, 10, 4);
-        let mut n = 0;
-        let result = sorter.sort(edges.iter().map(|&e| Ok(e)), |_| {
-            n += 1;
-            if n > 5 {
-                Err(Error::InvalidConfig("sink full".into()))
-            } else {
-                Ok(())
-            }
-        });
-        assert!(result.is_err());
+        let sorter = ExternalSorter::new(td.path(), 50, SortKey::Start).unwrap();
+        let set = fill(&sorter, &random_edges(200, 10, 4));
+        std::fs::remove_file(td.join("run-00001.tsv")).unwrap();
+        assert!(set.for_each_batch(|_| Ok(())).is_err());
     }
 
     #[test]
@@ -616,10 +624,8 @@ mod tests {
         let td = TempDir::new("ppbench-extsort").unwrap();
         let scratch = td.join("scratch");
         let sorter = ExternalSorter::new(&scratch, 8, SortKey::Start).unwrap();
-        let edges = random_edges(100, 50, 5);
-        sorter
-            .sort(edges.iter().map(|&e| Ok(e)), |_| Ok(()))
-            .unwrap();
+        let set = fill(&sorter, &random_edges(100, 50, 5));
+        set.for_each_batch(|_| Ok(())).unwrap();
         let leftovers: Vec<_> = std::fs::read_dir(&scratch).unwrap().collect();
         assert!(
             leftovers.is_empty(),

@@ -5,24 +5,26 @@
 //! the right algorithm depends on scale: "in the case where u and v fit into
 //! the RAM of the system, an in-memory algorithm could be used. Likewise, if
 //! u and v are too large to fit in memory, then an out-of-core algorithm
-//! would be required." This crate provides both:
+//! would be required." This crate provides both, as one engine.
 //!
-//! In memory ([`Algorithm`]):
+//! In memory ([`Algorithm`], for the ablation bench):
 //! * [`radix_sort`] — LSD radix sort on the 64-bit start key (8-bit digits,
-//!   trivial passes skipped), stable, O(M) — the `optimized` backend's choice;
+//!   trivial passes skipped), stable, O(M) — what the run engine sorts its
+//!   runs with;
 //! * [`counting_sort`] — one-pass bucket sort exploiting the known vertex
 //!   bound `N = 2^scale`, stable, O(M + N);
 //! * [`std_sort`] — `slice::sort_unstable_by_key` (pdqsort), the baseline
-//!   comparison sort;
-//! * [`parallel_sort`] — rayon's parallel pdqsort (the paper's future-work
-//!   parallel path).
+//!   comparison sort.
 //!
-//! Out of core:
-//! * [`ExternalSorter`] — classic run-generation + k-way merge with an
-//!   explicit memory budget, spilling sorted runs as ordinary edge files via
-//!   `ppbench-io` and merging them with a binary-heap [`kway`] merge;
-//! * [`pipelined_sort`] — the same sorter with reading and run generation
-//!   overlapped across threads through a bounded crossbeam channel.
+//! The run engine ([`ExternalSorter`]) — what kernel 1 actually runs, staged
+//! and fused, in memory and out of core: edges accumulate in a [`RunWriter`]
+//! under an explicit budget, a full buffer is stably radix sorted (chunked
+//! across the pool's workers when it is large) and spilled as an ordinary
+//! text edge file, and the sealed [`RunSet`] streams back through a stable
+//! [`kway`] merge — as an iterator, or a slice at a time with the merge on
+//! a worker thread so it overlaps the consumer's output. With no budget
+//! nothing spills and the set is one sorted in-memory run — the same
+//! stream, bit for bit, for any budget and any thread count.
 //!
 //! All sorts honor a [`SortKey`]: by start vertex only (the spec), or by
 //! (start, end) — the paper's §V "should the end vertices also be sorted?"
@@ -46,12 +48,10 @@
 
 pub mod external;
 pub mod kway;
-pub mod pipelined;
 mod radix;
 
 pub use external::{ExternalSorter, ExternalStats, MergeStream, RunSet, RunWriter};
 pub use kway::{KWayMerge, TwoWayMerge};
-pub use pipelined::pipelined_sort;
 pub use radix::{radix_sort, radix_sort_by_u64_key, radix_sort_slice, radix_sort_slice_by_u64_key};
 
 use ppbench_io::{Edge, SortState};
@@ -112,15 +112,6 @@ pub fn std_stable_sort(edges: &mut [Edge], key: SortKey) {
     }
 }
 
-/// Sorts in parallel with rayon's parallel unstable sort.
-pub fn parallel_sort(edges: &mut [Edge], key: SortKey) {
-    use rayon::slice::ParallelSliceMut;
-    match key {
-        SortKey::Start => edges.par_sort_unstable_by_key(|e| e.u),
-        SortKey::StartEnd => edges.par_sort_unstable_by_key(|e| (e.u, e.v)),
-    }
-}
-
 /// Stable counting sort by start vertex, exploiting the known vertex bound.
 ///
 /// O(M + N) time, O(M + N) extra space. Only supports [`SortKey::Start`]
@@ -153,8 +144,7 @@ pub fn counting_sort(edges: &mut Vec<Edge>, num_vertices: u64) {
     *edges = out;
 }
 
-/// In-memory sort algorithm selector, used by pipeline backends and the
-/// ablation benches.
+/// In-memory sort algorithm selector for the ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// LSD radix sort (stable).
@@ -167,8 +157,6 @@ pub enum Algorithm {
     Std,
     /// Stable standard-library sort.
     StdStable,
-    /// rayon parallel unstable sort.
-    Parallel,
 }
 
 impl Algorithm {
@@ -183,7 +171,6 @@ impl Algorithm {
             },
             Algorithm::Std => std_sort(edges, key),
             Algorithm::StdStable => std_stable_sort(edges, key),
-            Algorithm::Parallel => parallel_sort(edges, key),
         }
     }
 
@@ -194,17 +181,15 @@ impl Algorithm {
             Algorithm::Counting => "counting",
             Algorithm::Std => "std",
             Algorithm::StdStable => "std-stable",
-            Algorithm::Parallel => "parallel",
         }
     }
 
     /// All algorithms, for sweeps and tests.
-    pub const ALL: [Algorithm; 5] = [
+    pub const ALL: [Algorithm; 4] = [
         Algorithm::Radix,
         Algorithm::Counting,
         Algorithm::Std,
         Algorithm::StdStable,
-        Algorithm::Parallel,
     ];
 }
 

@@ -51,8 +51,19 @@ proptest! {
     fn external_equals_in_memory(edges in arb_edges(400, 32), budget in 1usize..64) {
         let td = TempDir::new("ppbench-sort-prop").unwrap();
         let sorter = ExternalSorter::new(td.path(), budget, SortKey::Start).unwrap();
+        let mut writer = sorter.run_writer().unwrap();
+        for &e in &edges {
+            writer.push(e).unwrap();
+        }
         let mut out = Vec::new();
-        sorter.sort(edges.iter().map(|&e| Ok(e)), |e| { out.push(e); Ok(()) }).unwrap();
+        writer
+            .finish()
+            .unwrap()
+            .for_each_batch(|batch| {
+                out.extend_from_slice(batch);
+                Ok(())
+            })
+            .unwrap();
         let mut expect = edges.clone();
         ppbench_sort::radix_sort(&mut expect, SortKey::Start);
         prop_assert_eq!(out, expect);

@@ -157,97 +157,44 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
-    /// Fast path for kernel 2: builds directly from an edge list that is
-    /// already sorted by start vertex (kernel 1's output), accumulating
-    /// duplicate `(u, v)` pairs. Within each row the ends are sorted here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edges are not sorted by start vertex or go out of
-    /// bounds.
-    pub fn from_sorted_edges(n: u64, edges: &[(u64, u64)]) -> Self
-    where
-        T: Scalar,
-    {
-        let mut triplets: Vec<(u64, u64, T)> = Vec::with_capacity(edges.len());
-        let mut i = 0usize;
-        while i < edges.len() {
-            let row = edges[i].0;
-            assert!(row < n, "start vertex {row} out of bounds {n}");
-            if i > 0 {
-                assert!(edges[i - 1].0 <= row, "edges not sorted by start vertex");
-            }
-            let mut ends: Vec<u64> = Vec::new();
-            while i < edges.len() && edges[i].0 == row {
-                assert!(
-                    edges[i].1 < n,
-                    "end vertex {} out of bounds {n}",
-                    edges[i].1
-                );
-                ends.push(edges[i].1);
-                i += 1;
-            }
-            ends.sort_unstable();
-            let mut j = 0usize;
-            while j < ends.len() {
-                let col = ends[j];
-                let mut acc = T::ZERO;
-                while j < ends.len() && ends[j] == col {
-                    acc = acc.add(T::ONE);
-                    j += 1;
-                }
-                triplets.push((row, col, acc));
-            }
-        }
-        Self::from_sorted_dedup_triplets(n, n, triplets)
-    }
-
-    /// Streaming counterpart of [`Csr::from_sorted_edges`]: consumes an
-    /// iterator of `(u, v)` pairs sorted by `u`, never materializing the
-    /// edge list — the peak memory is the matrix itself plus one row's
-    /// worth of end vertices. This is what lets kernel 2 run in roughly
-    /// half the memory of the collect-then-build path.
+    /// Kernel 2's staged construction: consumes an iterator of `(u, v)`
+    /// pairs sorted by start vertex (kernel 1's output), accumulating
+    /// duplicate pairs, without materializing the edge list. Each row's
+    /// ends are sorted here and fed to a [`CsrStreamBuilder`] — the one
+    /// dedup/row-pointer implementation, shared with the fused path — so
+    /// the peak memory is the builder's arrays plus one row's worth of end
+    /// vertices.
     ///
     /// # Panics
     ///
     /// Panics if the stream is not sorted by start vertex or goes out of
     /// bounds.
     pub fn from_sorted_edge_iter(n: u64, edges: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        let mut triplets: Vec<(u64, u64, T)> = Vec::new();
-        let mut current_row: Option<u64> = None;
+        let mut builder = CsrStreamBuilder::new(n);
         let mut ends: Vec<u64> = Vec::new();
-        let flush = |row: u64, ends: &mut Vec<u64>, triplets: &mut Vec<(u64, u64, T)>| {
+        let mut flush = |row: u64, ends: &mut Vec<u64>| {
             ends.sort_unstable();
-            let mut j = 0usize;
-            while j < ends.len() {
-                let col = ends[j];
-                let mut acc = T::ZERO;
-                while j < ends.len() && ends[j] == col {
-                    acc = acc.add(T::ONE);
-                    j += 1;
-                }
-                triplets.push((row, col, acc));
+            for &v in ends.iter() {
+                builder.push(row, v);
             }
             ends.clear();
         };
+        let mut current_row: Option<u64> = None;
         for (u, v) in edges {
             assert!(u < n, "start vertex {u} out of bounds {n}");
-            assert!(v < n, "end vertex {v} out of bounds {n}");
-            match current_row {
-                Some(row) if row == u => {}
-                Some(row) => {
+            if current_row != Some(u) {
+                if let Some(row) = current_row {
                     assert!(row < u, "edges not sorted by start vertex");
-                    flush(row, &mut ends, &mut triplets);
-                    current_row = Some(u);
+                    flush(row, &mut ends);
                 }
-                None => current_row = Some(u),
+                current_row = Some(u);
             }
             ends.push(v);
         }
         if let Some(row) = current_row {
-            flush(row, &mut ends, &mut triplets);
+            flush(row, &mut ends);
         }
-        Self::from_sorted_dedup_triplets(n, n, triplets)
+        builder.finish()
     }
 
     /// Number of rows.
@@ -475,16 +422,16 @@ impl<T> CsrSegment<T> {
 }
 
 /// Streaming CSR construction from a `(row, col)`-sorted stream with
-/// duplicate accumulation — the merge-stream counterpart of
-/// [`Csr::from_sorted_edge_iter`]. Where that path buffers a full triplet
-/// vector (24 bytes per entry on top of the final matrix), this one holds
-/// only the open `(row, col, count)` cell plus the growing output arrays,
-/// with narrow (`u32`) column indices during the build whenever the
-/// column bound fits.
+/// duplicate accumulation — the one builder under both kernel-2 paths. It
+/// holds only the open `(row, col, count)` cell plus the growing output
+/// arrays, with narrow (`u32`) column indices during the build whenever
+/// the column bound fits.
 ///
 /// The stream must be sorted by `(row, col)` — exactly what a
-/// `SortKey::StartEnd` merge produces — which is what makes dedup a
-/// constant-state comparison instead of a per-row sort.
+/// `SortKey::StartEnd` merge produces, and what
+/// [`Csr::from_sorted_edge_iter`] establishes row by row for a stream
+/// sorted by start only — which is what makes dedup a constant-state
+/// comparison.
 #[derive(Debug)]
 pub struct CsrStreamBuilder<T> {
     cols: u64,
@@ -705,11 +652,9 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_edges_accumulates() {
+    fn from_sorted_edge_iter_accumulates() {
         let edges = [(0u64, 2u64), (0, 1), (0, 2), (2, 0)];
-        let mut sorted = edges;
-        sorted.sort_unstable();
-        let m = Csr::<u64>::from_sorted_edges(3, &sorted);
+        let m = Csr::<u64>::from_sorted_edge_iter(3, edges);
         assert_eq!(m.get(0, 2), Some(2));
         assert_eq!(m.get(0, 1), Some(1));
         assert_eq!(m.get(2, 0), Some(1));
@@ -718,30 +663,14 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_edges_equals_coo_path() {
+    fn from_sorted_edge_iter_equals_coo_path() {
         // Pseudo-random edges, both construction paths must agree.
         let edges: Vec<(u64, u64)> = (0..500u64).map(|i| ((i * 7) % 16, (i * 13) % 16)).collect();
         let mut sorted = edges.clone();
-        sorted.sort_unstable_by_key(|&(u, _)| u);
-        let fast = Csr::<u64>::from_sorted_edges(16, &sorted);
+        sorted.sort_by_key(|&(u, _)| u);
+        let fast = Csr::<u64>::from_sorted_edge_iter(16, sorted);
         let slow = Coo::<u64>::from_edges(16, edges).compress();
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    #[should_panic(expected = "not sorted")]
-    fn from_unsorted_edges_panics() {
-        let _ = Csr::<u64>::from_sorted_edges(4, &[(2, 0), (1, 0)]);
-    }
-
-    #[test]
-    fn streaming_construction_equals_slice_construction() {
-        let edges: Vec<(u64, u64)> = (0..800u64).map(|i| ((i * 3) % 32, (i * 17) % 32)).collect();
-        let mut sorted = edges;
-        sorted.sort_unstable_by_key(|&(u, _)| u);
-        let from_slice = Csr::<u64>::from_sorted_edges(32, &sorted);
-        let from_iter = Csr::<u64>::from_sorted_edge_iter(32, sorted.iter().copied());
-        assert_eq!(from_slice, from_iter);
     }
 
     #[test]
@@ -767,9 +696,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_builder_equals_edge_iter_construction() {
+    fn stream_builder_equals_coo_construction() {
         let pairs = sorted_pairs(32, 900);
-        let oracle = Csr::<u64>::from_sorted_edge_iter(32, pairs.iter().copied());
+        let oracle = Coo::<u64>::from_edges(32, pairs.iter().copied()).compress();
         let mut b = CsrStreamBuilder::<u64>::new(32);
         for &(u, v) in &pairs {
             b.push(u, v);
@@ -806,7 +735,7 @@ mod tests {
     #[test]
     fn stream_builder_segments_concat_to_full_matrix() {
         let pairs = sorted_pairs(40, 1200);
-        let oracle = Csr::<u64>::from_sorted_edge_iter(40, pairs.iter().copied());
+        let oracle = Coo::<u64>::from_edges(40, pairs.iter().copied()).compress();
         for buckets in [1u64, 2, 3, 7, 40] {
             let mut segments = Vec::new();
             for b in 0..buckets {

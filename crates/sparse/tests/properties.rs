@@ -38,6 +38,18 @@ proptest! {
         a.check_invariants().unwrap();
     }
 
+    /// Kernel 2's staged construction equals the COO assembly on any
+    /// start-sorted edge list — ends unordered within a row, duplicates,
+    /// hub rows, empty rows and the empty list included.
+    #[test]
+    fn sorted_edge_iter_matches_coo(triplets in arb_skewed_triplets(16, 120)) {
+        let mut edges: Vec<(u64, u64)> = triplets.iter().map(|t| (t.0, t.1)).collect();
+        edges.sort_by_key(|&(u, _)| u);
+        let streamed = Csr::<u64>::from_sorted_edge_iter(16, edges.iter().copied());
+        streamed.check_invariants().unwrap();
+        prop_assert_eq!(streamed, Coo::<u64>::from_edges(16, edges).compress());
+    }
+
     /// Transposition is an involution and preserves all entries.
     #[test]
     fn transpose_involution(triplets in arb_triplets(12, 80)) {

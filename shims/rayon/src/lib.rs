@@ -9,27 +9,21 @@
 //!   vectors,
 //! * [`iter::IntoParallelRefIterator::par_iter`] on slices and vectors,
 //! * [`iter::ParIter::map`] / [`iter::ParIter::flat_map_iter`] /
-//!   [`iter::ParIter::collect`],
-//! * [`slice::ParallelSliceMut::par_sort_unstable_by_key`].
+//!   [`iter::ParIter::collect`].
 //!
 //! Map stages genuinely run in parallel on scoped `std::thread`s (one
 //! contiguous chunk per available core, results concatenated in order, so
-//! output ordering is identical to the sequential path). The parallel sort
-//! currently delegates to `sort_unstable_by_key` — same pdqsort the real
-//! rayon runs per fragment — which keeps results deterministic; a merging
-//! parallel sort is a contained future optimization.
+//! output ordering is identical to the sequential path).
 
 #![forbid(unsafe_code)]
 
 pub mod iter;
-pub mod slice;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What rayon's prelude exports, restricted to what the workspace needs.
 pub mod prelude {
     pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
-    pub use crate::slice::ParallelSliceMut;
 }
 
 /// Explicit global pool size; 0 means "not set, use the core count".
@@ -156,13 +150,6 @@ mod tests {
             .flat_map_iter(|&(lo, hi)| lo..hi)
             .collect();
         assert_eq!(out, (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn par_sort_unstable_by_key_sorts() {
-        let mut v: Vec<u64> = (0..5000).map(|i| (i * 7919) % 5000).collect();
-        v.par_sort_unstable_by_key(|&x| x);
-        assert!(v.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
