@@ -6,7 +6,7 @@ use std::path::PathBuf;
 /// One finding, anchored to a source position.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (`panic`, `lock-order`, …).
+    /// Rule identifier (`panic`, `indexing`, …).
     pub rule: &'static str,
     /// File the finding is in.
     pub path: PathBuf,

@@ -1,16 +1,11 @@
-//! The rule engine: runs every rule over a set of source files, applies
-//! waivers, aggregates the workspace-wide lock graph, and returns the
-//! surviving diagnostics sorted by position.
-//!
-//! Two layers feed the rules: the token layer (the lexed code view every
-//! rule has always scanned) and the structure layer (delimiter match map,
-//! fn items, loop ranges — built per file for the structural rules).
+//! The rule engine: runs every rule over a set of source files' code-token
+//! views, applies waivers, and returns the surviving diagnostics sorted by
+//! position.
 
 use std::collections::BTreeMap;
 
 use crate::diag::Diagnostic;
-use crate::parse::Structure;
-use crate::rules::{self, locks};
+use crate::rules;
 use crate::source::SourceFile;
 use crate::waiver;
 
@@ -33,7 +28,6 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Diagnostic> {
 /// [`Report`].
 pub fn analyze_report(files: &[SourceFile]) -> Report {
     let mut diags = Vec::new();
-    let mut edges = Vec::new();
     let mut waivers = Vec::new();
 
     for file in files.iter().filter(|f| f.is_production()) {
@@ -41,13 +35,7 @@ pub fn analyze_report(files: &[SourceFile]) -> Report {
         rules::panics::check(file, &mut diags);
         rules::determinism::check(file, &mut diags);
         rules::hygiene::check(file, &mut diags);
-        locks::check(file, &mut edges, &mut diags);
-        let structure = Structure::build(file);
-        rules::condvar::check(file, &structure, &mut diags);
-        rules::joins::check(file, &structure, &mut diags);
-        rules::accum::check(file, &structure, &mut diags);
     }
-    diags.extend(locks::cycles(&edges));
 
     let (mut diags, used) = waiver::apply_tracking(diags, &waivers);
     diags.extend(waiver::stale(&waivers, &used));
@@ -60,11 +48,6 @@ pub fn analyze_report(files: &[SourceFile]) -> Report {
     }
 
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
-    // Overlapping structural regions (e.g. nested parallel combinators)
-    // can observe one site twice; identical findings collapse.
-    diags.dedup_by(|a, b| {
-        a.rule == b.rule && a.path == b.path && a.line == b.line && a.col == b.col
-    });
     Report {
         diags,
         used_waivers,
@@ -95,24 +78,6 @@ mod tests {
             FileKind::TestLike,
         );
         assert!(analyze(&[f]).is_empty());
-    }
-
-    #[test]
-    fn cross_file_lock_cycle_is_found() {
-        let a = lib_file(
-            "crates/serve/src/a.rs",
-            "ppbench-serve",
-            "#![forbid(unsafe_code)]\n\
-             fn f(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); touch(a, b); }",
-        );
-        let b = lib_file(
-            "crates/serve/src/b.rs",
-            "ppbench-serve",
-            "fn g(&self) { let b = self.beta.lock(); let a = self.alpha.lock(); touch(a, b); }",
-        );
-        let diags = analyze(&[a, b]);
-        let cycle: Vec<_> = diags.iter().filter(|d| d.rule == "lock-order").collect();
-        assert_eq!(cycle.len(), 2, "{diags:?}");
     }
 
     #[test]
@@ -148,17 +113,6 @@ mod tests {
         assert_eq!(stale.len(), 1, "{:?}", report.diags);
         assert_eq!(stale[0].line, 4);
         assert_eq!(report.used_waivers.get("panic"), Some(&1));
-    }
-
-    #[test]
-    fn structural_rules_run_through_the_engine() {
-        let f = lib_file(
-            "crates/serve/src/x.rs",
-            "ppbench-serve",
-            "fn f(&self) { let s = self.m.lock(); let g = self.cv.wait(s); touch(g); }",
-        );
-        let diags = analyze(&[f]);
-        assert!(diags.iter().any(|d| d.rule == "condvar-wait"), "{diags:?}");
     }
 
     #[test]

@@ -1,33 +1,25 @@
 //! `ppbench-analyze` — a from-scratch workspace lint pass enforcing the
 //! two invariants this codebase lives or dies by: **kernels are
 //! deterministic given a seed** (the paper's bit-reproducible Table II
-//! checksums) and **library code never panics or deadlocks under load**
-//! (the serving stack's contract).
+//! checksums) and **library code ends in an error, not a panic** (the
+//! serving stack's contract).
 //!
 //! No rustc plumbing, no syn: a hand-rolled comment/string/lifetime-aware
-//! [`lexer`] feeds two analysis layers. The token layer sees the code
-//! token stream; the structure layer ([`parse`]) adds a delimiter match
-//! map, `fn`/`const` items, and loop ranges per file. Rules:
+//! [`lexer`] feeds one token layer, a per-file code-token view with
+//! `#[cfg(test)]` modules excluded. Every rule is a pass over that view:
 //!
-//! | Rule | Layer | Invariant |
-//! |---|---|---|
-//! | `panic` | token | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code |
-//! | `indexing` | token | no panicking slice indexing in the serving crates |
-//! | `time-source` | token | `Instant`/`SystemTime` only inside `core/src/timing.rs` on the kernel path |
-//! | `hash-iteration` | token | no `HashMap`/`HashSet` where iteration order could reach hashed or serialized state |
-//! | `env-dependence` | token | no `env::var*` / `available_parallelism` / `num_cpus` in kernel result paths |
-//! | `lock-order` | token | no cycles in the workspace lock-acquisition graph |
-//! | `lock-panic` | token | no `.lock().unwrap()` while already holding a lock |
-//! | `condvar-wait` | structure | every single-guard `Condvar::wait` sits inside a loop (spurious wakeups) |
-//! | `join-order` | structure | channel endpoints drop before the consuming thread is joined |
-//! | `shared-accumulator` | structure | no indexed compound-assign into shared buffers inside parallel closures |
-//! | `forbid-unsafe` | token | every crate root carries `#![forbid(unsafe_code)]` |
-//! | `discarded-result` | token | no `let _ =` discarding a value in library code |
-//! | `waiver` | meta | waivers are well-formed, name a real rule, and carry a reason |
-//! | `stale-waiver` | meta | every waiver still suppresses something |
+//! | Rule | Invariant |
+//! |---|---|
+//! | `panic` | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code |
+//! | `indexing` | no panicking slice indexing in the serving crates |
+//! | `time-source` | `Instant`/`SystemTime` only inside `core/src/timing.rs` on the kernel path |
+//! | `hash-iteration` | no `HashMap`/`HashSet` where iteration order could reach hashed or serialized state |
+//! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
+//! | `discarded-result` | no `let _ =` discarding a value in library code |
+//! | `waiver` | waivers are well-formed, name a real rule, and carry a reason |
+//! | `stale-waiver` | every waiver still suppresses something |
 //!
-//! Violations are hard CI errors, except `shared-accumulator` (a
-//! heuristic, reported as a warning). The escape hatch is an inline
+//! Every finding is a hard CI error. The escape hatch is an inline
 //! waiver with a mandatory reason:
 //!
 //! ```text
@@ -47,7 +39,7 @@
 //! Run it exactly as CI does:
 //!
 //! ```text
-//! cargo run -p ppbench-analyze -- --workspace --deny-all --check-baseline
+//! cargo run -p ppbench-analyze -- --workspace --check-baseline
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +50,6 @@ pub mod baseline;
 pub mod diag;
 pub mod engine;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
 pub mod sarif;
 pub mod source;

@@ -1,8 +1,7 @@
 //! CLI for `ppbench-analyze`.
 //!
 //! ```text
-//! ppbench-analyze [--workspace] [--root DIR] [--deny-all]
-//!                 [--allow RULE]... [--format text|sarif] [--out FILE]
+//! ppbench-analyze [--workspace] [--root DIR] [--format text|sarif] [--out FILE]
 //!                 [--baseline FILE] [--check-baseline] [--write-baseline]
 //!                 [--list-rules] [PATH]...
 //! ```
@@ -14,14 +13,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ppbench_analyze::baseline::Baseline;
-use ppbench_analyze::rules::{severity_of, Severity, ALL_RULES, RULE_DESCRIPTIONS};
+use ppbench_analyze::rules::RULE_DESCRIPTIONS;
 use ppbench_analyze::{engine, sarif, walk};
 
 struct Options {
     workspace: bool,
     root: Option<PathBuf>,
-    deny_all: bool,
-    allow: Vec<String>,
     list_rules: bool,
     format: Format,
     out: Option<PathBuf>,
@@ -40,19 +37,17 @@ enum Format {
 const BASELINE_FILE: &str = "ANALYZE_BASELINE.json";
 
 fn usage(to_stderr: bool) {
-    let text = "usage: ppbench-analyze [--workspace] [--root DIR] [--deny-all]\n\
-                \x20                      [--allow RULE]... [--format text|sarif] [--out FILE]\n\
+    let text =
+        "usage: ppbench-analyze [--workspace] [--root DIR] [--format text|sarif] [--out FILE]\n\
                 \x20                      [--baseline FILE] [--check-baseline] [--write-baseline]\n\
                 \x20                      [--list-rules] [PATH]...\n\
                 \n\
                 --workspace       scan the whole workspace (default when no PATH given)\n\
                 --root DIR        workspace root (default: discovered from the cwd)\n\
-                --deny-all        every rule is an error regardless of --allow (CI mode)\n\
-                --allow RULE      report RULE findings as warnings, not errors\n\
                 --format FMT      output format: text (default) or sarif\n\
                 --out FILE        write the report to FILE instead of stdout\n\
                 --baseline FILE   ratchet file (default: <root>/ANALYZE_BASELINE.json)\n\
-                --check-baseline  fail if waiver/warning counts grew past the baseline\n\
+                --check-baseline  fail if waiver counts grew past the baseline\n\
                 --write-baseline  rewrite the baseline from the current counts\n\
                 --list-rules      print the rule catalogue and exit\n";
     if to_stderr {
@@ -66,8 +61,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         workspace: false,
         root: None,
-        deny_all: false,
-        allow: Vec::new(),
         list_rules: false,
         format: Format::Text,
         out: None,
@@ -83,14 +76,6 @@ fn parse_args() -> Result<Options, String> {
             "--root" => {
                 let v = argv.next().ok_or("--root needs a directory")?;
                 opts.root = Some(PathBuf::from(v));
-            }
-            "--deny-all" => opts.deny_all = true,
-            "--allow" => {
-                let v = argv.next().ok_or("--allow needs a rule name")?;
-                if !ALL_RULES.contains(&v.as_str()) {
-                    return Err(format!("unknown rule `{v}` (see --list-rules)"));
-                }
-                opts.allow.push(v);
             }
             "--format" => {
                 let v = argv.next().ok_or("--format needs `text` or `sarif`")?;
@@ -154,7 +139,7 @@ fn main() -> ExitCode {
 
     if opts.list_rules {
         for (rule, desc) in RULE_DESCRIPTIONS {
-            println!("{} {rule:<18} {desc}", severity_of(rule).label());
+            println!("{rule:<18} {desc}");
         }
         return ExitCode::SUCCESS;
     }
@@ -197,10 +182,6 @@ fn main() -> ExitCode {
     }
 
     let report = engine::analyze_report(&files);
-    let demoted = |rule: &str| {
-        severity_of(rule) == Severity::Warning
-            || (!opts.deny_all && opts.allow.iter().any(|a| a == rule))
-    };
 
     if opts.format == Format::Sarif {
         if let Err(e) = emit(&opts, &sarif::render(&report.diags)) {
@@ -209,32 +190,10 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut current = Baseline {
-        waivers: report.used_waivers.clone(),
-        warnings: Default::default(),
-    };
-    let mut text = String::new();
-    for d in &report.diags {
-        if demoted(d.rule) {
-            warnings += 1;
-            *current.warnings.entry(d.rule.to_string()).or_insert(0) += 1;
-            text.push_str(&format!(
-                "{}:{}:{}: warning[{}]: {}\n",
-                d.path.display(),
-                d.line,
-                d.col,
-                d.rule,
-                d.message
-            ));
-        } else {
-            errors += 1;
-            text.push_str(&format!("{d}\n"));
-        }
-    }
+    let errors = report.diags.len();
+    let mut text: String = report.diags.iter().map(|d| format!("{d}\n")).collect();
     text.push_str(&format!(
-        "ppbench-analyze: {} file(s) scanned, {errors} error(s), {warnings} warning(s)\n",
+        "ppbench-analyze: {} file(s) scanned, {errors} error(s)\n",
         files.len()
     ));
     if opts.format == Format::Text {
@@ -247,6 +206,9 @@ fn main() -> ExitCode {
         eprint!("{text}");
     }
 
+    let current = Baseline {
+        waivers: report.used_waivers,
+    };
     let mut ratchet_failed = false;
     if let (true, Some(path)) = (opts.check_baseline || opts.write_baseline, baseline_path) {
         if opts.write_baseline {

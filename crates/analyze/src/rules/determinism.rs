@@ -1,6 +1,7 @@
 //! Determinism: the pipeline must be bit-reproducible given a seed.
 //!
-//! Three lexical proxies for the real invariant:
+//! Two lexical proxies for the real invariant (which the digest and
+//! two-process determinism tests assert directly):
 //!
 //! * **time-source** — `Instant`/`SystemTime` anywhere in a kernel crate
 //!   outside `timing.rs` means a wall-clock value can leak into results
@@ -9,18 +10,15 @@
 //!   randomized per process; in a crate whose data is checksummed,
 //!   serialized, or hashed for cache identity, any use is a hazard
 //!   unless proven membership-only (that proof is the waiver's reason).
-//! * **env-dependence** — `env::var*`, `available_parallelism`, and
-//!   `num_cpus` make results depend on the machine, not the seed.
 
 use crate::diag::Diagnostic;
 use crate::rules::in_scope;
 use crate::source::SourceFile;
 
-/// Runs the three determinism rules over one file.
+/// Runs the two determinism rules over one file.
 pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let time_scope = in_scope("time-source", file);
     let hash_scope = in_scope("hash-iteration", file);
-    let env_scope = in_scope("env-dependence", file);
     for i in 0..file.code_len() {
         if file.in_test_code(i) {
             continue;
@@ -53,23 +51,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                      sorted Vec, or waive with a reason proving order is never observed"
                 ),
             ));
-        }
-
-        if env_scope {
-            let env_read = (text == "var" || text == "vars" || text == "var_os")
-                && i >= 3
-                && file.code_text(i - 1) == ":"
-                && file.code_text(i - 2) == ":"
-                && file.code_text(i - 3) == "env";
-            if env_read || text == "available_parallelism" || text == "num_cpus" {
-                out.push(diag(
-                    "env-dependence",
-                    format!(
-                        "`{text}` makes results depend on the environment; thread counts \
-                         and tunables must come from the seeded PipelineConfig"
-                    ),
-                ));
-            }
         }
     }
 }
@@ -121,32 +102,5 @@ mod tests {
         assert_eq!(check_src(src, "ppbench-serve").len(), 1);
         assert_eq!(check_src(src, "ppbench-gen").len(), 1);
         assert!(check_src(src, "ppbench-analyze").is_empty());
-    }
-
-    #[test]
-    fn env_reads_flagged() {
-        let out = check_src(
-            "fn f() { let _v = std::env::var(\"X\"); \
-             let _n = std::thread::available_parallelism(); }",
-            "ppbench-core",
-        );
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out.iter().all(|d| d.rule == "env-dependence"));
-    }
-
-    #[test]
-    fn env_args_and_temp_dir_are_fine() {
-        let out = check_src(
-            "fn f() { let _a = std::env::args(); let _t = std::env::temp_dir(); }",
-            "ppbench-core",
-        );
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn local_var_ident_named_var_is_fine() {
-        // `var` only fires in the `env::var` path position.
-        let out = check_src("fn f() { let var = 3; let _ = var; }", "ppbench-core");
-        assert!(out.iter().all(|d| d.rule != "env-dependence"), "{out:?}");
     }
 }

@@ -7,12 +7,8 @@
 //! point of the serving and bench crates, but a determinism hazard in a
 //! kernel crate.
 
-pub mod accum;
-pub mod condvar;
 pub mod determinism;
 pub mod hygiene;
-pub mod joins;
-pub mod locks;
 pub mod panics;
 
 use crate::source::SourceFile;
@@ -25,49 +21,11 @@ pub const ALL_RULES: &[&str] = &[
     "indexing",
     "time-source",
     "hash-iteration",
-    "env-dependence",
-    "lock-order",
-    "lock-panic",
-    "condvar-wait",
-    "join-order",
-    "shared-accumulator",
     "forbid-unsafe",
     "discarded-result",
     "waiver",
     "stale-waiver",
 ];
-
-/// How severe a rule's findings are. Errors gate CI; warnings are
-/// heuristic findings budgeted by the committed baseline (they may only
-/// ratchet downward).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Heuristic finding: review it, budget it in the baseline if sound.
-    Warning,
-    /// Hard invariant: fails the analyzer run.
-    Error,
-}
-
-impl Severity {
-    /// Lowercase label used in text and SARIF output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-/// The intrinsic severity of a rule. `shared-accumulator` is a heuristic
-/// (a compound assignment through an index inside a parallel closure is
-/// *suspicious*, not proven wrong), so it warns; everything else states
-/// an invariant and errors.
-pub fn severity_of(rule: &str) -> Severity {
-    match rule {
-        "shared-accumulator" => Severity::Warning,
-        _ => Severity::Error,
-    }
-}
 
 /// One-line description per rule, aligned with [`ALL_RULES`].
 pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
@@ -88,30 +46,6 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
         "no HashMap/HashSet where iteration order could leak into results",
     ),
     (
-        "env-dependence",
-        "no environment or thread-count reads in kernel result paths",
-    ),
-    (
-        "lock-order",
-        "no lock-acquisition cycles or same-lock re-acquisition",
-    ),
-    (
-        "lock-panic",
-        "no .lock().unwrap()/expect() while already holding a lock",
-    ),
-    (
-        "condvar-wait",
-        "Condvar::wait / wait_timeout only inside a predicate re-check loop",
-    ),
-    (
-        "join-order",
-        "drop channel endpoints before joining the threads that drain them",
-    ),
-    (
-        "shared-accumulator",
-        "no indexed compound assignment inside a parallel closure (false sharing)",
-    ),
-    (
         "forbid-unsafe",
         "every crate root carries #![forbid(unsafe_code)]",
     ),
@@ -129,8 +63,7 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Crates on the kernel result path: anything here that reads a clock,
-/// iterates a randomized-order container, or consults the environment
+/// Crates on the kernel result path: anything here that reads a clock
 /// can break bit-reproducibility (the paper's Table II checksums).
 pub const KERNEL_CRATES: &[&str] = &[
     "ppbench",
@@ -182,9 +115,6 @@ pub fn in_scope(rule: &str, file: &SourceFile) -> bool {
                     .unwrap_or(true)
         }
         "hash-iteration" => HASHED_OUTPUT_CRATES.contains(&name),
-        "env-dependence" => {
-            KERNEL_CRATES.contains(&name) || name == "ppbench-serve" || name == "ppbench-bench"
-        }
         _ => true,
     }
 }

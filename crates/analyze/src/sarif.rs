@@ -9,7 +9,7 @@
 //! everything else in this crate.
 
 use crate::diag::Diagnostic;
-use crate::rules::{severity_of, RULE_DESCRIPTIONS};
+use crate::rules::RULE_DESCRIPTIONS;
 
 /// Renders `diags` as a complete SARIF 2.1.0 document.
 pub fn render(diags: &[Diagnostic]) -> String {
@@ -24,11 +24,9 @@ pub fn render(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\
-             \"defaultConfiguration\":{{\"level\":{}}}}}",
+            "{{\"id\":{},\"shortDescription\":{{\"text\":{}}}}}",
             escape(rule),
             escape(desc),
-            escape(severity_of(rule).label()),
         ));
     }
     out.push_str("]}},\"results\":[");
@@ -36,18 +34,18 @@ pub fn render(diags: &[Diagnostic]) -> String {
         if i > 0 {
             out.push(',');
         }
-        // Forward slashes regardless of host separator: SARIF URIs.
+        // Forward slashes regardless of host separator: SARIF URIs. Every
+        // finding fails CI, so every result is an error.
         let uri = d
             .path
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
         out.push_str(&format!(
-            "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\
+            "{{\"ruleId\":{},\"level\":\"error\",\"message\":{{\"text\":{}}},\
              \"locations\":[{{\"physicalLocation\":{{\
              \"artifactLocation\":{{\"uri\":{}}},\
              \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
             escape(d.rule),
-            escape(severity_of(d.rule).label()),
             escape(&d.message),
             escape(&uri),
             d.line,
@@ -97,17 +95,12 @@ mod tests {
 
     #[test]
     fn document_shape_and_required_fields() {
-        let s = render(&[
-            diag("panic", "no unwraps"),
-            diag("shared-accumulator", "fs"),
-        ]);
+        let s = render(&[diag("panic", "no unwraps")]);
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("\"name\":\"ppbench-analyze\""));
         assert!(s.contains("\"ruleId\":\"panic\""));
         assert!(s.contains("\"startLine\":3"));
         assert!(s.contains("\"uri\":\"crates/x/src/lib.rs\""));
-        // Severity mapping: heuristic rules report as warnings.
-        assert!(s.contains("{\"ruleId\":\"shared-accumulator\",\"level\":\"warning\""));
         assert!(s.contains("{\"ruleId\":\"panic\",\"level\":\"error\""));
         // Every rule in the catalogue is declared to the ingester.
         for (rule, _) in RULE_DESCRIPTIONS {

@@ -6,7 +6,6 @@
 use std::path::PathBuf;
 
 use ppbench_analyze::engine::analyze;
-use ppbench_analyze::rules::{severity_of, Severity};
 use ppbench_analyze::source::{FileKind, SourceFile};
 
 /// Loads one fixture as if it lived at `synthetic_path` inside `krate`.
@@ -106,63 +105,6 @@ fn hash_iteration_fixture_flags_randomized_containers() {
 }
 
 #[test]
-fn env_dependence_fixture_flags_machine_inputs() {
-    let f = fixture(
-        "env_dependence.rs",
-        "crates/core/src/env_dependence.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert!(
-        count(&rules, "env-dependence") >= 2,
-        "env::var and available_parallelism: {rules:?}"
-    );
-}
-
-#[test]
-fn lock_order_cycle_spans_files() {
-    let a = fixture(
-        "lock_order_a.rs",
-        "crates/serve/src/lock_order_a.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    let b = fixture(
-        "lock_order_b.rs",
-        "crates/serve/src/lock_order_b.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    // Each file alone is a consistent order — no cycle, no finding.
-    assert!(rules_of(&[fixture(
-        "lock_order_a.rs",
-        "crates/serve/src/lock_order_a.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    )])
-    .is_empty());
-    // Together, alpha→beta and beta→alpha close the loop; every edge on
-    // the cycle is reported.
-    let rules = rules_of(&[a, b]);
-    assert!(count(&rules, "lock-order") >= 2, "{rules:?}");
-}
-
-#[test]
-fn lock_panic_fixture_flags_unwrap_under_held_lock() {
-    let f = fixture(
-        "lock_panic.rs",
-        "crates/serve/src/lock_panic.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert_eq!(count(&rules, "lock-panic"), 1, "{rules:?}");
-    // The `.unwrap()` itself is independently a panic finding.
-    assert_eq!(count(&rules, "panic"), 1, "{rules:?}");
-}
-
-#[test]
 fn crate_root_without_forbid_unsafe_is_flagged() {
     let f = fixture(
         "missing_forbid_unsafe.rs",
@@ -252,76 +194,6 @@ fn test_like_fixtures_are_exempt_wholesale() {
 }
 
 #[test]
-fn condvar_wait_fixture_pair() {
-    let bad = fixture(
-        "condvar_wait_bad.rs",
-        "crates/serve/src/condvar_wait_bad.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[bad]);
-    assert_eq!(
-        count(&rules, "condvar-wait"),
-        2,
-        "bare wait + bare wait_timeout: {rules:?}"
-    );
-
-    let ok = fixture(
-        "condvar_wait_ok.rs",
-        "crates/serve/src/condvar_wait_ok.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[ok]).is_empty());
-}
-
-#[test]
-fn join_order_fixture_pair() {
-    let bad = fixture(
-        "join_order_bad.rs",
-        "crates/sort/src/join_order_bad.rs",
-        "ppbench-sort",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[bad]);
-    assert_eq!(count(&rules, "join-order"), 1, "{rules:?}");
-
-    let ok = fixture(
-        "join_order_ok.rs",
-        "crates/sort/src/join_order_ok.rs",
-        "ppbench-sort",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[ok]).is_empty());
-}
-
-#[test]
-fn shared_accumulator_fixture_pair() {
-    let bad = fixture(
-        "shared_accum_bad.rs",
-        "crates/core/src/shared_accum_bad.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[bad]);
-    assert_eq!(
-        count(&rules, "shared-accumulator"),
-        2,
-        "spawn closure + par_iter for_each: {rules:?}"
-    );
-    // A heuristic rule must never be error-severity.
-    assert_eq!(severity_of("shared-accumulator"), Severity::Warning);
-
-    let ok = fixture(
-        "shared_accum_ok.rs",
-        "crates/core/src/shared_accum_ok.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[ok]).is_empty());
-}
-
-#[test]
 fn stale_waiver_fixture_flags_only_the_dead_waiver() {
     let f = fixture(
         "stale_waiver.rs",
@@ -351,17 +223,12 @@ fn lexer_edge_cases_stay_silent() {
 #[test]
 fn the_workspace_itself_is_clean() {
     // The invariant the CI job enforces: the real tree, scanned with the
-    // real walker, carries zero error-severity violations. (Warnings —
-    // today only the `shared-accumulator` heuristic — are ratcheted by
-    // the committed baseline instead.)
+    // real walker, carries zero findings.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let root = ppbench_analyze::walk::find_workspace_root(&manifest)
         .expect("workspace root above crates/analyze");
     let files = ppbench_analyze::walk::load_workspace(&root).expect("workspace loads");
-    let errors: Vec<_> = analyze(&files)
-        .into_iter()
-        .filter(|d| severity_of(d.rule) == Severity::Error)
-        .collect();
+    let errors = analyze(&files);
     assert!(
         errors.is_empty(),
         "workspace must stay analyzer-clean:\n{}",

@@ -21,8 +21,8 @@
 //! * the CLI plumbing `ppsweep` needs ([`parse_args`] and the list
 //!   parsers).
 //!
-//! Thread counts are always explicit — this crate holds to the
-//! env-dependence rule, so nothing here consults the machine.
+//! Thread counts are always explicit: a sweep's rows depend on its flags,
+//! so nothing here consults the machine.
 
 use std::path::PathBuf;
 use std::str::FromStr;

@@ -641,7 +641,7 @@ impl PipelineConfigBuilder {
     pub fn check(self) -> Result<PipelineConfig, String> {
         match self.violation() {
             Some(why) => Err(why),
-            None => Ok(self.build()),
+            None => Ok(self.finish()),
         }
     }
 
@@ -656,6 +656,11 @@ impl PipelineConfigBuilder {
     pub fn build(self) -> PipelineConfig {
         let why = self.violation();
         assert!(why.is_none(), "{}", why.unwrap_or_default());
+        self.finish()
+    }
+
+    /// The configuration, once [`Self::violation`] has passed it.
+    fn finish(self) -> PipelineConfig {
         PipelineConfig {
             spec: GraphSpec::new(self.scale, self.edge_factor),
             ..self.cfg

@@ -63,7 +63,8 @@ pub struct FusedOutcome {
 }
 
 /// Runs the fused kernel-1+2 pass over the edge files in `k0_dir`, using
-/// `scratch_dir` for spilled runs (removed before returning).
+/// `scratch_dir` for spilled runs (removed before returning, on success and
+/// on failure alike).
 ///
 /// The input is untrusted: the reader bounds the manifest's edge count and
 /// digest-verifies the stream (see `kernel1::seal_runs`), and every
@@ -71,6 +72,10 @@ pub struct FusedOutcome {
 /// routing — corrupt shards surface as errors, never as bad math or a
 /// builder panic.
 pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Result<FusedOutcome> {
+    kernel1::in_scratch(scratch_dir, |scratch| fuse(cfg, k0_dir, scratch))
+}
+
+fn fuse(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Result<FusedOutcome> {
     // ---- Phase 1: route the input into per-vertex-range sorted runs ----
     let sw = Stopwatch::start();
     let n = cfg.spec.num_vertices();
@@ -134,17 +139,6 @@ pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Resu
     let counts = Csr::<u64>::from_row_segments(n, segments);
     let (matrix, stats) = kernel2::filter_matrix(&counts, cfg.add_diagonal_to_empty);
     let k2_timing = sw.finish(m);
-
-    // The MergeStreams already removed their run files; remove the (now
-    // empty) directories of the buckets that spilled too, propagating
-    // failures — a scratch dir that cannot be deleted is a real environment
-    // problem.
-    for b in 0..buckets {
-        let dir = scratch_dir.join(format!("bucket-{b:03}"));
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir).map_err(|e| ppbench_io::Error::io(&dir, e))?;
-        }
-    }
 
     Ok(FusedOutcome {
         k1: Kernel1Result {

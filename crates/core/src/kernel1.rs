@@ -17,8 +17,9 @@
 //! untrusted manifest's edge count by the bytes on disk and digest-verifies
 //! the stream; the whole input is consumed — and so verified — before any
 //! output is written, so bad input is never laundered into a
-//! plausible-looking sorted file set, and the spilled runs are removed
-//! whether the sort succeeds or fails.
+//! plausible-looking sorted file set. Both callers run inside
+//! [`in_scratch`], so the spilled runs are removed whether the pass
+//! succeeds or fails.
 //!
 //! [`RunWriter`]: ppbench_sort::RunWriter
 
@@ -88,6 +89,19 @@ pub(crate) fn seal_runs(
     })
 }
 
+/// Runs `pass` — which spills through [`seal_runs`] into `scratch` and
+/// drains the sealed sets — then removes `scratch` whether `pass` succeeded
+/// or not: a rejected input (the digest verdict arrives after everything
+/// has been spilled) must leave no runs behind. A scratch directory that
+/// cannot be removed is an error of its own.
+pub(crate) fn in_scratch<T>(scratch: &Path, pass: impl FnOnce(&Path) -> Result<T>) -> Result<T> {
+    let out = pass(scratch);
+    if scratch.exists() {
+        std::fs::remove_dir_all(scratch).map_err(|e| ppbench_io::Error::io(scratch, e))?;
+    }
+    out
+}
+
 /// Sorts the edge file set at `in_dir` into a new file set at `out_dir`;
 /// `budget_bytes` as in the module docs. Returns the output manifest.
 pub fn sort_file_set(
@@ -97,15 +111,9 @@ pub fn sort_file_set(
     key: SortKey,
     budget_bytes: Option<u64>,
 ) -> Result<Manifest> {
-    let scratch = out_dir.join("sort-scratch");
-    let sorted = write_sorted(in_dir, out_dir, &scratch, num_files, key, budget_bytes);
-    // Spilled runs go whether the sort succeeded or not: a rejected input
-    // (the digest verdict arrives after everything has been spilled) must
-    // leave no scratch behind.
-    if scratch.exists() {
-        std::fs::remove_dir_all(&scratch).map_err(|e| ppbench_io::Error::io(&scratch, e))?;
-    }
-    let (input, writer) = sorted?;
+    let (input, writer) = in_scratch(&out_dir.join("sort-scratch"), |scratch| {
+        write_sorted(in_dir, out_dir, scratch, num_files, key, budget_bytes)
+    })?;
     Ok(writer.finish(input.scale, input.vertex_bound, key.sort_state())?)
 }
 

@@ -82,33 +82,40 @@ fn count_inversions(mut seq: Vec<u64>) -> u64 {
     inversions
 }
 
-/// Ids of the `k` highest-ranked vertices under the same comparator as
-/// [`ordering`] (descending rank, ties by ascending id), returned in
-/// ascending id order (set semantics).
+/// The `k` highest-ranked vertices as `(vertex, rank)` pairs under the
+/// same comparator as [`ordering`]: descending rank, ties by ascending id.
+/// `k` past the length clamps.
 ///
-/// Selected in O(n) expected time with `select_nth_unstable_by` rather
-/// than a full sort — at benchmark scales the caller wants the top handful
-/// out of millions of vertices, so sorting everything to keep five entries
-/// is almost all wasted work.
-pub fn top_k_ids(ranks: &[f64], k: usize) -> Vec<u64> {
+/// Selected in O(n) expected time with `select_nth_unstable_by`, and only
+/// the `k` survivors are sorted — at benchmark scales the caller wants the
+/// top handful out of millions of vertices, so sorting everything to keep
+/// five entries is almost all wasted work.
+pub fn top_k(ranks: &[f64], k: usize) -> Vec<(u64, f64)> {
     let k = k.min(ranks.len());
     if k == 0 {
         return Vec::new();
     }
+    let by_rank = |&a: &u64, &b: &u64| {
+        ranks[b as usize]
+            .total_cmp(&ranks[a as usize])
+            .then(a.cmp(&b))
+    };
     let mut idx: Vec<u64> = (0..ranks.len() as u64).collect();
     if k < idx.len() {
-        // After this call positions 0..k hold the k least elements under
-        // the comparator — which orders by descending rank — i.e. the top
-        // k vertices, in arbitrary internal order.
-        idx.select_nth_unstable_by(k - 1, |&a, &b| {
-            ranks[b as usize]
-                .total_cmp(&ranks[a as usize])
-                .then(a.cmp(&b))
-        });
+        // Positions 0..k now hold the k least elements under the
+        // comparator — which orders by descending rank — i.e. the top k.
+        idx.select_nth_unstable_by(k - 1, by_rank);
         idx.truncate(k);
     }
-    idx.sort_unstable();
-    idx
+    idx.sort_unstable_by(by_rank);
+    idx.into_iter().map(|i| (i, ranks[i as usize])).collect()
+}
+
+/// Ids of [`top_k`]'s vertices in ascending id order (set semantics).
+pub fn top_k_ids(ranks: &[f64], k: usize) -> Vec<u64> {
+    let mut ids: Vec<u64> = top_k(ranks, k).into_iter().map(|(i, _)| i).collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Jaccard overlap of the top-`k` sets of two rank vectors: 1.0 when both
@@ -231,12 +238,15 @@ mod tests {
             ((state >> 11) % 16) as f64 / 16.0
         };
         let ranks: Vec<f64> = (0..257).map(|_| next()).collect();
-        for k in [1, 2, 7, 64, 256, 257, 500] {
-            let mut expect: Vec<u64> = ordering(&ranks).into_iter().take(k).collect();
+        for k in [0, 1, 2, 7, 64, 256, 257, 500] {
+            let order: Vec<u64> = ordering(&ranks).into_iter().take(k).collect();
+            let pairs: Vec<(u64, f64)> = order.iter().map(|&i| (i, ranks[i as usize])).collect();
+            assert_eq!(top_k(&ranks, k), pairs, "k = {k}");
+            let mut expect = order;
             expect.sort_unstable();
             assert_eq!(top_k_ids(&ranks, k), expect, "k = {k}");
         }
-        assert!(top_k_ids(&ranks, 0).is_empty());
+        assert!(top_k(&[], 3).is_empty());
         assert!(top_k_ids(&[], 3).is_empty());
     }
 

@@ -64,17 +64,9 @@ pub struct Kernel3Result {
 
 impl Kernel3Result {
     /// The `k` highest-ranked vertices as `(vertex, rank)` pairs,
-    /// descending.
+    /// descending ([`crate::rank::top_k`]).
     pub fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let mut pairs: Vec<(u64, f64)> = self
-            .ranks
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (i as u64, r))
-            .collect();
-        pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(k);
-        pairs
+        crate::rank::top_k(&self.ranks, k)
     }
 }
 

@@ -3,10 +3,11 @@
 //! Kernels 1 and 2 consume on-disk state they did not produce in the same
 //! process, so every class of corruption — hostile counts, appended or
 //! truncated records, missing files — must surface as a clean `Err` from
-//! `EdgeReader::read_dir_all` and from `kernel1`/`kernel2` of **every**
-//! backend: never a panic, an abort, silently wrong output, or a published
-//! output manifest. One table: corruption × `Variant::ALL` × {kernel 1 in
-//! memory, kernel 1 spilling, kernel 2}.
+//! `EdgeReader::read_dir_all` and from `kernel1`/`kernel2`/`kernel12_fused`
+//! of **every** backend: never a panic, an abort, silently wrong output, a
+//! published output manifest, or spilled runs left behind. One table:
+//! corruption × `Variant::ALL` × {kernel 1, fused kernel 1+2} × {in memory,
+//! spilling} plus kernel 2.
 
 use std::path::Path;
 
@@ -31,6 +32,11 @@ fn cfg(sort_budget_bytes: Option<u64>) -> PipelineConfig {
         Some(bytes) => builder.sort_budget_bytes(bytes).build(),
         None => builder.build(),
     }
+}
+
+/// True when `dir` is missing or holds nothing.
+fn is_empty_dir(dir: &Path) -> bool {
+    std::fs::read_dir(dir).map_or(true, |mut d| d.next().is_none())
 }
 
 /// `result` must be an error whose text contains `needle`.
@@ -75,6 +81,20 @@ fn assert_every_consumer_rejects(corrupt: impl Fn(&Path, &Manifest), needle: &st
                 assert!(
                     !out.join("sort-scratch").exists(),
                     "{name} {label}: failed sort left scratch behind"
+                );
+
+                // The fused pass spills into the same run engine, one
+                // bucket per worker, and owes the same cleanup.
+                let scratch = td.join(&format!("{name}-fused-{label}"));
+                let fused = backend.kernel12_fused(&cfg(budget), &dir, &scratch);
+                assert_rejected(&format!("{name} fused {label}"), fused, needle);
+                assert!(
+                    !scratch.join(ppbench_io::MANIFEST_NAME).exists(),
+                    "{name} fused {label}: failed pass committed a manifest"
+                );
+                assert!(
+                    is_empty_dir(&scratch),
+                    "{name} fused {label}: failed pass left scratch behind"
                 );
             }
         }

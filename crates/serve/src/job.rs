@@ -75,18 +75,10 @@ impl RunSummary {
     }
 
     /// The `k` highest-ranked vertices as `(vertex, rank)` pairs,
-    /// descending, ties broken by lower vertex id (same rule as
-    /// `Kernel3Result::top_k`).
+    /// descending, ties broken by lower vertex id — the one rule
+    /// `Kernel3Result::top_k` also calls ([`ppbench_core::rank::top_k`]).
     pub fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let mut pairs: Vec<(u64, f64)> = self
-            .ranks
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (i as u64, r))
-            .collect();
-        pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(k);
-        pairs
+        ppbench_core::rank::top_k(&self.ranks, k)
     }
 }
 
