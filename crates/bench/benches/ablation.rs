@@ -71,7 +71,7 @@ fn build_matrix() -> Csr<f64> {
     ppbench_sort::radix_sort(&mut edges, SortKey::Start);
     let tuples: Vec<(u64, u64)> = edges.iter().map(|e| (e.u, e.v)).collect();
     let counts = Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), tuples.iter().copied());
-    ops::normalize_rows(&counts)
+    ops::normalize_rows(counts)
 }
 
 fn bench_spmv_forms(c: &mut Criterion) {

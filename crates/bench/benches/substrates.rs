@@ -144,10 +144,10 @@ fn bench_matrix_construction(c: &mut Criterion) {
     });
     let counts = Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), tuples.iter().copied());
     group.bench_function("normalize-rows", |b| {
-        b.iter(|| ops::normalize_rows(&counts))
+        b.iter(|| ops::normalize_rows(counts.clone()))
     });
     group.bench_function("transpose", |b| {
-        let a = ops::normalize_rows(&counts);
+        let a = ops::normalize_rows(counts.clone());
         b.iter(|| a.transpose());
     });
     group.finish();
@@ -159,11 +159,7 @@ fn bench_eigensolver(c: &mut Criterion) {
     ppbench_sort::radix_sort(&mut edges, ppbench_sort::SortKey::Start);
     let tuples: Vec<(u64, u64)> = edges.iter().map(|e| (e.u, e.v)).collect();
     let counts = Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), tuples.iter().copied());
-    let a = ops::normalize_rows(&ops::add_diagonal_where(
-        &counts,
-        |i| counts.row_nnz(i) == 0,
-        1,
-    ));
+    let a = ops::normalize_rows(ops::add_diagonal_to_empty_rows(counts, 1));
     let at = a.transpose();
     let mut group = c.benchmark_group("substrate_eigen");
     group

@@ -108,7 +108,7 @@ pub fn build_matrix(scale: u32, edge_factor: u64, seed: u64) -> Csr<f64> {
     ppbench_sort::radix_sort(&mut edges, SortKey::Start);
     let counts =
         Csr::<u64>::from_sorted_edge_iter(spec.num_vertices(), edges.iter().map(|e| (e.u, e.v)));
-    ops::normalize_rows(&counts)
+    ops::normalize_rows(counts)
 }
 
 /// Everything shared by every variant measured at one scale.

@@ -98,12 +98,11 @@ impl Backend for DataframeBackend {
 
         let mut diagonal_repairs = 0u64;
         if cfg.add_diagonal_to_empty {
-            let empty = ops::empty_rows(&counts);
-            diagonal_repairs = empty.iter().filter(|&&e| e).count() as u64;
-            counts = ops::add_diagonal_where(&counts, |i| empty[i as usize], 1);
+            diagonal_repairs = ops::empty_row_count(&counts);
+            counts = ops::add_diagonal_to_empty_rows(counts, 1);
         }
-        let matrix = ops::normalize_rows(&counts);
-        let dangling_rows = ops::empty_rows(&matrix).iter().filter(|&&e| e).count() as u64;
+        let matrix = ops::normalize_rows(counts);
+        let dangling_rows = ops::empty_row_count(&matrix);
 
         let stats = FilterStats {
             total_edge_count: total_edges,

@@ -84,10 +84,12 @@ impl Backend for GraphBlasBackend {
         // din = 𝟙 ⊕.⊗ A over plus-times — the GraphBLAS way to reduce
         // columns. (Counts convert exactly to f64 far beyond any benchmark
         // scale.)
-        let a_f64 = counts.map(|_, _, v| v as f64);
-        let ones = vec![1.0f64; n as usize];
-        let din_f = graphblas::vxm::<graphblas::PlusTimes>(&ones, &a_f64);
-        let din: Vec<u64> = din_f.iter().map(|&d| d as u64).collect();
+        let din: Vec<u64> = {
+            let a_f64 = counts.map(|_, _, v| v as f64);
+            let ones = vec![1.0f64; n as usize];
+            let din_f = graphblas::vxm::<graphblas::PlusTimes>(&ones, &a_f64);
+            din_f.iter().map(|&d| d as u64).collect()
+        };
         let max_in_degree = din.iter().copied().max().unwrap_or(0);
         let kill = |c: u64| {
             let d = din[c as usize];
@@ -99,21 +101,22 @@ impl Backend for GraphBlasBackend {
             .count() as u64;
         let leaf_columns = din.iter().filter(|&&d| d == 1).count() as u64;
 
-        // GrB_select: keep entries whose column survives.
-        let mut filtered = graphblas::select(&counts, |_, c, _| !kill(c));
+        // GrB_select with the output aliasing the input: keep, in place,
+        // the entries whose column survives.
+        let nnz_before = counts.nnz();
+        let mut filtered = graphblas::select(counts, |_, c, _| !kill(c));
 
         let mut diagonal_repairs = 0u64;
         if cfg.add_diagonal_to_empty {
-            let empty = ops::empty_rows(&filtered);
-            diagonal_repairs = empty.iter().filter(|&&e| e).count() as u64;
-            filtered = ops::add_diagonal_where(&filtered, |i| empty[i as usize], 1);
+            diagonal_repairs = ops::empty_row_count(&filtered);
+            filtered = ops::add_diagonal_to_empty_rows(filtered, 1);
         }
-        let matrix = ops::normalize_rows(&filtered);
-        let dangling_rows = ops::empty_rows(&matrix).iter().filter(|&&e| e).count() as u64;
+        let matrix = ops::normalize_rows(filtered);
+        let dangling_rows = ops::empty_row_count(&matrix);
 
         let stats = FilterStats {
             total_edge_count,
-            nnz_before: counts.nnz(),
+            nnz_before,
             max_in_degree,
             supernode_columns,
             leaf_columns,

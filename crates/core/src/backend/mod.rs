@@ -94,8 +94,8 @@ pub trait Backend: Send + Sync {
 
 /// Shared streaming kernel-2 body: read a sorted file set through the
 /// verifying reader, check the claimed sort order, accumulate counts
-/// straight into CSR with no intermediate edge vector, and funnel through
-/// [`kernel2::filter_matrix`]. The optimized and parallel backends both
+/// straight into CSR with no intermediate edge vector, and hand the count
+/// matrix to [`kernel2::filter`]. The optimized and parallel backends both
 /// delegate here — their kernel-2 data paths are identical, only kernels
 /// 0/3 differ.
 pub(crate) fn kernel2_streamed(cfg: &PipelineConfig, in_dir: &Path) -> Result<Kernel2Output> {
@@ -134,7 +134,7 @@ pub(crate) fn kernel2_streamed(cfg: &PipelineConfig, in_dir: &Path) -> Result<Ke
     if let Some(e) = stream_err {
         return Err(e);
     }
-    let (matrix, stats) = crate::kernel2::filter_matrix(&counts, cfg.add_diagonal_to_empty);
+    let (matrix, stats) = crate::kernel2::filter(counts, cfg.add_diagonal_to_empty);
     Ok(Kernel2Output { matrix, stats })
 }
 

@@ -162,7 +162,7 @@ impl Backend for NaiveBackend {
         for (&(u, v), &c) in &counts {
             coo.push(u, v, c);
         }
-        let (matrix, stats) = kernel2::filter_matrix(&coo.compress(), cfg.add_diagonal_to_empty);
+        let (matrix, stats) = kernel2::filter(coo.compress(), cfg.add_diagonal_to_empty);
         Ok(Kernel2Output { matrix, stats })
     }
 

@@ -61,28 +61,34 @@ impl Backend for ParallelBackend {
         // iteration is then a single fused sweep — gather, epilogue, and
         // L1-delta accumulation in one pass over the output buffer
         // (`spmv::step_fused`), ping-ponged by `kernel3::run_into` with
-        // zero O(N) allocation per iteration. Column indices narrow to
-        // `u32` whenever the vertex count fits (every paper scale),
-        // halving index bandwidth.
-        let at = matrix.transpose();
+        // zero O(N) allocation per iteration. Whenever the vertex count
+        // fits (every paper scale) the transpose is built straight into
+        // `u32` column indices, halving index bandwidth; only past 2^32
+        // vertices does the wide transpose exist.
         let dangling = kernel3::DanglingInfo::from_mask(&ppbench_sparse::ops::empty_rows(matrix));
         let r0 = kernel3::init_ranks(cfg.spec.num_vertices(), cfg.seed);
         let opts = cfg.pagerank_options();
         let chunks = rayon::current_num_threads().max(1);
-        let boundaries = spmv::balanced_boundaries(at.row_ptr(), chunks);
-        Ok(match Csr32::try_from_wide(&at) {
-            Some(narrow) => kernel3::run_into(
-                r0,
-                |r, next, coeffs| spmv::step_fused(r, &narrow.view(), next, coeffs, &boundaries),
-                &dangling,
-                &opts,
-            ),
-            None => kernel3::run_into(
-                r0,
-                |r, next, coeffs| spmv::step_fused(r, &at.view(), next, coeffs, &boundaries),
-                &dangling,
-                &opts,
-            ),
+        Ok(match Csr32::try_transpose(matrix) {
+            Some(at) => {
+                let boundaries = spmv::balanced_boundaries(at.row_ptr(), chunks);
+                kernel3::run_into(
+                    r0,
+                    |r, next, coeffs| spmv::step_fused(r, &at.view(), next, coeffs, &boundaries),
+                    &dangling,
+                    &opts,
+                )
+            }
+            None => {
+                let at = matrix.transpose();
+                let boundaries = spmv::balanced_boundaries(at.row_ptr(), chunks);
+                kernel3::run_into(
+                    r0,
+                    |r, next, coeffs| spmv::step_fused(r, &at.view(), next, coeffs, &boundaries),
+                    &dangling,
+                    &opts,
+                )
+            }
         })
     }
 }

@@ -17,8 +17,8 @@
 //!    are merged *in parallel* — each worker drains its bucket's
 //!    [`MergeStream`] directly into a [`CsrStreamBuilder`] row segment,
 //!    deduplicating and accumulating counts on the fly. The segments
-//!    concatenate into the full count matrix, which funnels through
-//!    [`kernel2::filter_matrix`] — the same single policy function the
+//!    concatenate into the full count matrix, which goes by value to
+//!    [`kernel2::filter`] — the same single policy function the
 //!    staged backends use, so matrix and [`FilterStats`] are bit-identical
 //!    to the staged path for any thread count.
 //!
@@ -137,7 +137,7 @@ fn fuse(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Result<Fused
         )));
     }
     let counts = Csr::<u64>::from_row_segments(n, segments);
-    let (matrix, stats) = kernel2::filter_matrix(&counts, cfg.add_diagonal_to_empty);
+    let (matrix, stats) = kernel2::filter(counts, cfg.add_diagonal_to_empty);
     let k2_timing = sw.finish(m);
 
     Ok(FusedOutcome {

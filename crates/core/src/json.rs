@@ -417,16 +417,21 @@ impl Parser<'_> {
                 }
                 Some(byte) if byte < 0x20 => return Err(self.err("control byte in string")),
                 Some(_) => {
-                    // Copy one UTF-8 character verbatim.
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte verbatim: one UTF-8 check and one
+                    // copy per run, so a string parses in linear time.
+                    // Those stop bytes are ASCII, so they never split a
+                    // multi-byte character.
                     let rest = self.bytes.get(self.pos..).unwrap_or_default();
-                    let text = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = rest.get(..len).unwrap_or_default();
+                    let text = std::str::from_utf8(run)
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = text
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(text);
+                    self.pos += len;
                 }
             }
         }
@@ -614,6 +619,22 @@ mod tests {
         let doc = format!("{{\"k\":{}}}", escape_string(nasty));
         let v = Json::parse(&doc).unwrap();
         assert_eq!(v.get("k").and_then(Json::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn an_8_mib_string_parses_in_linear_time() {
+        // Runs of plain text between escapes, multi-byte characters at
+        // every run boundary. A parser that re-validates the rest of the
+        // input per character copied needs hours here; a linear one needs
+        // well under a second, so the bound is generous on any machine.
+        let chunk = "plain ascii run → ünïcödé \"quoted\" back\\slash\ttab\n";
+        let text = chunk.repeat((8 << 20) / chunk.len() + 1);
+        let doc = escape_string(&text);
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(secs < 60.0, "8 MiB string took {secs:.1} s");
     }
 
     #[test]

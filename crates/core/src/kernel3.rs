@@ -415,7 +415,7 @@ mod tests {
         for i in 0..n {
             coo.push(i, (i + 1) % n, 1);
         }
-        ops::normalize_rows(&coo.compress())
+        ops::normalize_rows(coo.compress())
     }
 
     #[test]
@@ -455,7 +455,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (0, 3)] {
             coo.push(u, v, 1);
         }
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let at = a.transpose();
         let r = pagerank(init_ranks(5, 2), |x| spmv::vxm(x, &a), 0.85, 300);
         let mut r_norm = r.clone();
@@ -474,7 +474,7 @@ mod tests {
         // Single edge 0→1, vertex 1 dangles: mass decays.
         let mut coo = Coo::<u64>::new(2, 2);
         coo.push(0, 1, 1);
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let r = pagerank(init_ranks(2, 1), |x| spmv::vxm(x, &a), 0.85, 20);
         assert!(rank_mass(&r) < 1.0);
         assert!(rank_mass(&r) > 0.0);
@@ -496,7 +496,7 @@ mod tests {
         // 0→1, vertex 1 dangles.
         let mut coo = Coo::<u64>::new(2, 2);
         coo.push(0, 1, 1);
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let dangling = [false, true];
         let opts = PageRankOptions {
             dangling: DanglingStrategy::Redistribute,
@@ -517,7 +517,7 @@ mod tests {
         coo.push(0, 1, 1);
         coo.push(0, 2, 1);
         coo.push(1, 2, 1); // vertex 2 is a sink
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let dangling = [false, false, true];
         let opts = PageRankOptions {
             dangling: DanglingStrategy::Sink,
@@ -542,13 +542,9 @@ mod tests {
             coo.push(u, v, 1);
         }
         let counts = coo.compress();
-        let plain = ops::normalize_rows(&counts);
+        let plain = ops::normalize_rows(counts.clone());
         let dangling = ops::empty_rows(&plain);
-        let repaired = ops::normalize_rows(&ops::add_diagonal_where(
-            &counts,
-            |i| dangling[i as usize],
-            1,
-        ));
+        let repaired = ops::normalize_rows(ops::add_diagonal_to_empty_rows(counts, 1));
         let opts_sink = PageRankOptions {
             dangling: DanglingStrategy::Sink,
             max_iterations: 30,
@@ -668,7 +664,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 0), (0, 4)] {
             coo.push(u, v, 1);
         }
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let dangling = ops::empty_rows(&a);
         for strategy in [
             DanglingStrategy::Omit,
@@ -704,7 +700,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (0, 5)] {
             coo.push(u, v, 1);
         }
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let at = a.transpose();
         let mask = ops::empty_rows(&a);
         let info = DanglingInfo::from_mask(&mask);

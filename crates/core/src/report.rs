@@ -223,6 +223,50 @@ mod tests {
     }
 
     #[test]
+    fn a_million_rank_entry_round_trips_in_linear_time() {
+        // The shape of a result-cache entry: the record beside 1 M ranks
+        // as one 16 MB hex string. Parsing used to cost time quadratic in
+        // that string's length (hours); the bound only catches that.
+        let record = RunRecord {
+            variant: "optimized".to_string(),
+            workload: "pagerank".to_string(),
+            scale: 20,
+            edges: 16 << 20,
+            kernels: [Some((0.5, 1e6)), Some((0.25, 2e6)), None, Some((1.5, 3e8))],
+            validation_passed: Some(true),
+            threads: Some(2),
+            checksum: None,
+        };
+        let ranks: Vec<f64> = (0..1_000_000u32).map(|i| 1.0 / f64::from(i + 3)).collect();
+        let hex: String = ranks
+            .iter()
+            .map(|r| format!("{:016x}", r.to_bits()))
+            .collect();
+        let mut entry = JsonObject::new();
+        entry
+            .set_raw("record", record.to_json())
+            .set_str("ranks_hex", &hex);
+        let text = entry.render();
+
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        assert!(secs < 60.0, "1 M-rank entry took {secs:.1} s");
+        assert_eq!(
+            RunRecord::from_json(parsed.get("record").unwrap()),
+            Ok(record)
+        );
+        let back = parsed.get("ranks_hex").and_then(Json::as_str).unwrap();
+        let revived: Vec<u64> = back
+            .as_bytes()
+            .chunks(16)
+            .map(|h| u64::from_str_radix(std::str::from_utf8(h).unwrap(), 16).unwrap())
+            .collect();
+        assert!(revived.iter().zip(&ranks).all(|(&b, r)| b == r.to_bits()));
+        assert_eq!(revived.len(), ranks.len());
+    }
+
+    #[test]
     fn save_writes_the_json_record() {
         let record = sample();
         let td = TempDir::new("report").unwrap();

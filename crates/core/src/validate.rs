@@ -327,7 +327,7 @@ mod tests {
         ] {
             coo.push(u, v, 1);
         }
-        let (a, _) = kernel2::filter_matrix(&coo.compress(), true);
+        let (a, _) = kernel2::filter(coo.compress(), true);
         let ranks = kernel3::pagerank(kernel3::init_ranks(6, 1), |x| spmv::vxm(x, &a), 0.85, 20);
         let report = check_eigenvector(&a, &ranks, 0.85, 20);
         assert!(report.passed(), "{}", report.detail());
@@ -349,7 +349,7 @@ mod tests {
         ] {
             coo.push(u, v, 1);
         }
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         // A wildly wrong "rank" vector concentrated on one vertex.
         let mut garbage = vec![0.0; 6];
         garbage[3] = 1.0;

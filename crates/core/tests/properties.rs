@@ -2,6 +2,7 @@
 //! hold for *every* seed, scale and option combination, not just the ones
 //! the unit tests pick.
 
+use ppbench_core::kernel2::FilterStats;
 use ppbench_core::{kernel2, kernel3, Pipeline, PipelineConfig, ValidationLevel};
 use ppbench_io::tempdir::TempDir;
 use ppbench_sparse::{ops, spmv, Coo, Csr};
@@ -32,7 +33,7 @@ proptest! {
         prop_assert!(result.validation.unwrap().passed());
     }
 
-    /// filter_matrix invariants hold on arbitrary count matrices: mass
+    /// kernel2::filter invariants hold on arbitrary count matrices: mass
     /// accounting, row stochasticity, and the column-elimination contract.
     #[test]
     fn filter_matrix_invariants(
@@ -46,7 +47,7 @@ proptest! {
         let counts = coo.compress();
         let din_before = ops::col_sums(&counts);
         let dmax = din_before.iter().copied().max().unwrap_or(0);
-        let (a, stats) = kernel2::filter_matrix(&counts, diagonal);
+        let (a, stats) = kernel2::filter(counts, diagonal);
 
         prop_assert_eq!(stats.total_edge_count, triplets.len() as u64);
         prop_assert!(stats.nnz_before <= triplets.len());
@@ -72,6 +73,24 @@ proptest! {
         }
     }
 
+    /// The by-value, in-place filter equals the copying reference bit for
+    /// bit, statistics included, with the diagonal repair on and off.
+    #[test]
+    fn filter_equals_the_copying_reference(
+        triplets in proptest::collection::vec((0u64..12, 0u64..12), 0..150),
+        diagonal: bool,
+    ) {
+        let mut coo = Coo::<u64>::new(12, 12);
+        for &(u, v) in &triplets {
+            coo.push(u, v, 1);
+        }
+        let counts = coo.compress();
+        let (want, want_stats) = copying_filter(&counts, diagonal);
+        let (got, got_stats) = kernel2::filter(counts, diagonal);
+        prop_assert_eq!(got_stats, want_stats);
+        prop_assert!(same_bits(&got, &want));
+    }
+
     /// PageRank update properties for arbitrary stochastic matrices: mass
     /// conservation (no dangling rows), positivity, and linearity.
     #[test]
@@ -86,7 +105,7 @@ proptest! {
         }
         let counts = coo.compress();
         prop_assume!((0..8).all(|r| counts.row_nnz(r) > 0));
-        let a: Csr<f64> = ops::normalize_rows(&counts);
+        let a: Csr<f64> = ops::normalize_rows(counts);
         let r0 = kernel3::init_ranks(8, seed);
         let r1 = kernel3::step(&r0, |x| spmv::vxm(x, &a), damping);
         let mass0: f64 = r0.iter().sum();
@@ -135,7 +154,7 @@ proptest! {
         for &(u, v) in &triplets {
             coo.push(u, v, 1);
         }
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         prop_assert!(check_fused_against_oracle(&a, seed, chunks) < 1e-12);
     }
 }
@@ -195,15 +214,15 @@ fn check_fused_against_oracle(a: &Csr<f64>, seed: u64, chunks: usize) -> f64 {
 #[test]
 fn fused_pagerank_edge_shapes() {
     // All-dangling: no edges at all.
-    let empty = ops::normalize_rows(&Coo::<u64>::new(8, 8).compress());
+    let empty = ops::normalize_rows(Coo::<u64>::new(8, 8).compress());
     // Single hub: every other vertex points only at vertex 0.
     let mut coo = Coo::<u64>::new(8, 8);
     for v in 1..8 {
         coo.push(v, 0, 1);
     }
-    let hub = ops::normalize_rows(&coo.compress());
+    let hub = ops::normalize_rows(coo.compress());
     // Zero vertices: nothing to rank, nothing to crash on.
-    let none = ops::normalize_rows(&Coo::<u64>::new(0, 0).compress());
+    let none = ops::normalize_rows(Coo::<u64>::new(0, 0).compress());
     for (name, m) in [
         ("all-dangling", empty),
         ("single-hub", hub),
@@ -212,6 +231,99 @@ fn fused_pagerank_edge_shapes() {
         for chunks in [1, 3] {
             let gap = check_fused_against_oracle(&m, 42, chunks);
             assert!(gap < 1e-12, "{name} with {chunks} chunks: L1 gap {gap}");
+        }
+    }
+}
+
+/// Kernel 2 as it was written before it worked in place: each step builds
+/// a fresh matrix through a triplet list and `Coo::compress`.
+fn copying_filter(counts: &Csr<u64>, diagonal: bool) -> (Csr<f64>, FilterStats) {
+    let din = ops::col_sums(counts);
+    let dmax = din.iter().copied().max().unwrap_or(0);
+    let supernode = |d: u64| dmax > 0 && d == dmax;
+    let (rows, cols) = (counts.rows(), counts.cols());
+    let mut kept = Coo::new(rows, cols);
+    for (r, c, v) in counts.iter() {
+        let d = din[c as usize];
+        if !(supernode(d) || d == 1) {
+            kept.push(r, c, v);
+        }
+    }
+    let kept = kept.compress();
+    let empty = ops::empty_rows(&kept);
+    let mut repaired = Coo::new(rows, cols);
+    for (r, c, v) in kept.iter() {
+        repaired.push(r, c, v);
+    }
+    let mut diagonal_repairs = 0;
+    if diagonal {
+        for i in (0..rows.min(cols)).filter(|&i| empty[i as usize]) {
+            repaired.push(i, i, 1);
+            diagonal_repairs += 1;
+        }
+    }
+    let repaired = repaired.compress();
+    let dout = ops::row_sums(&repaired);
+    let mut normalized = Coo::new(rows, cols);
+    for (r, c, v) in repaired.iter() {
+        normalized.push(r, c, v as f64 / dout[r as usize] as f64);
+    }
+    let a = normalized.compress();
+    let stats = FilterStats {
+        total_edge_count: counts.value_sum(),
+        nnz_before: counts.nnz(),
+        max_in_degree: dmax,
+        supernode_columns: din.iter().filter(|&&d| supernode(d)).count() as u64,
+        leaf_columns: din.iter().filter(|&&d| d == 1).count() as u64,
+        nnz_after: a.nnz(),
+        dangling_rows: ops::empty_rows(&a).iter().filter(|&&e| e).count() as u64,
+        diagonal_repairs,
+    };
+    (a, stats)
+}
+
+/// Same shape, same structure, and the same bits in every value.
+fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    (a.rows(), a.cols()) == (b.rows(), b.cols())
+        && a.row_ptr() == b.row_ptr()
+        && a.col_indices() == b.col_indices()
+        && a.values().len() == b.values().len()
+        && a.values()
+            .iter()
+            .zip(b.values())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+#[test]
+fn filter_equals_the_copying_reference_on_degenerate_matrices() {
+    // Every column a leaf: one entry each, so all of them are masked.
+    let mut leaves = Coo::<u64>::new(6, 6);
+    for c in 0..6 {
+        leaves.push((c + 1) % 6, c, 1);
+    }
+    // Two hubs tie for the maximum in-degree; rows 3..8 stay empty.
+    let mut hubs = Coo::<u64>::new(8, 8);
+    for r in 0..3 {
+        hubs.push(r, 0, 2);
+        hubs.push(r, 1, 2);
+        hubs.push(r, 2, 1);
+        hubs.push(r, 4, 1);
+    }
+    let cases = [
+        ("0x0", Csr::<u64>::zero(0, 0)),
+        ("empty 7x7", Csr::<u64>::zero(7, 7)),
+        ("all columns masked", leaves.compress()),
+        ("tied hubs, empty rows", hubs.compress()),
+    ];
+    for (name, counts) in cases {
+        for diagonal in [false, true] {
+            let (want, want_stats) = copying_filter(&counts, diagonal);
+            let (got, got_stats) = kernel2::filter(counts.clone(), diagonal);
+            assert_eq!(got_stats, want_stats, "{name}, diagonal {diagonal}");
+            assert!(same_bits(&got, &want), "{name}, diagonal {diagonal}");
+            let (borrowed, borrowed_stats) = kernel2::filter_matrix(&counts, diagonal);
+            assert_eq!(borrowed_stats, want_stats, "{name}: filter_matrix");
+            assert!(same_bits(&borrowed, &want), "{name}: filter_matrix");
         }
     }
 }

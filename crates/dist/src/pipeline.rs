@@ -109,8 +109,7 @@ pub fn run_distributed(cfg: &DistConfig) -> DistResult {
                     .collect::<Vec<bool>>()
             }),
         );
-        let filtered = ops::zero_columns(&local_counts, &mask);
-        let local_matrix = ops::normalize_rows(&filtered);
+        let local_matrix = ops::normalize_rows(ops::zero_columns(local_counts, &mask));
         let after_k2 = phase_snapshot(&fabric);
 
         // --- Kernel 3: replicated r, partial products, all-reduce. --------

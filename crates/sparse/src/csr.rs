@@ -254,14 +254,123 @@ impl<T: Scalar> Csr<T> {
         })
     }
 
-    /// Maps every stored value (dropping results equal to zero).
+    /// Maps every stored value into a new matrix, row by row, dropping
+    /// results equal to zero.
     pub fn map<U: Scalar>(&self, mut f: impl FnMut(u64, u64, T) -> U) -> Csr<U> {
-        let triplets: Vec<(u64, u64, U)> = self
-            .iter()
-            .map(|(r, c, v)| (r, c, f(r, c, v)))
-            .filter(|&(_, _, v)| v != U::ZERO)
+        let mut row_ptr = Vec::with_capacity(self.row_ptr.len());
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        row_ptr.push(0);
+        for r in 0..self.rows {
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let u = f(r, c, v);
+                if u != U::ZERO {
+                    col_idx.push(c);
+                    values.push(u);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Csr {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Keeps only the stored entries for which `keep(row, col, &value)`
+    /// holds, compacting `col_idx`/`values` in place and rewriting
+    /// `row_ptr` as it goes. The freed tail goes back to the allocator.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64, u64, &T) -> bool) {
+        let mut write = 0;
+        let mut lo = 0;
+        for r in 0..self.rows as usize {
+            let hi = self.row_ptr[r + 1];
+            for read in lo..hi {
+                if keep(r as u64, self.col_idx[read], &self.values[read]) {
+                    self.col_idx[write] = self.col_idx[read];
+                    self.values[write] = self.values[read];
+                    write += 1;
+                }
+            }
+            self.row_ptr[r + 1] = write;
+            lo = hi;
+        }
+        self.col_idx.truncate(write);
+        self.col_idx.shrink_to_fit();
+        self.values.truncate(write);
+        self.values.shrink_to_fit();
+    }
+
+    /// Converts every stored value with `f(row, value)`, keeping the
+    /// structure. The index arrays move over as they are; when `U` has the
+    /// size and alignment of `T` (`u64` counts to `f64` weights) the value
+    /// storage is rewritten in place instead of copied.
+    ///
+    /// `f` must not map a stored value to zero (checked in debug builds).
+    pub(crate) fn map_values<U: Scalar>(self, mut f: impl FnMut(u64, T) -> U) -> Csr<U> {
+        let Csr {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        } = self;
+        let (mut r, mut k) = (0usize, 0usize);
+        let values = values
+            .into_iter()
+            .map(|v| {
+                while row_ptr[r + 1] <= k {
+                    r += 1;
+                }
+                k += 1;
+                let u = f(r as u64, v);
+                debug_assert!(u != U::ZERO, "map_values stored an explicit zero");
+                u
+            })
             .collect();
-        Csr::from_sorted_dedup_triplets(self.rows, self.cols, triplets)
+        Csr {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Stores `value` on the diagonal of every empty row `i < min(rows,
+    /// cols)`. The storage grows by one slot per such row and the entries
+    /// shift right in place, back to front, so no second matrix exists.
+    pub(crate) fn fill_empty_diagonal(&mut self, value: T) {
+        let n = self.rows.min(self.cols) as usize;
+        let mut shift = (0..n)
+            .filter(|&i| self.row_ptr[i] == self.row_ptr[i + 1])
+            .count();
+        let nnz = self.nnz();
+        self.col_idx.resize(nnz + shift, 0);
+        self.values.resize(nnz + shift, T::ZERO);
+        // `hi` is the old end of row `r`; `shift` counts the insertions in
+        // rows `0..=r`, which is how far row `r`'s entries move.
+        let mut hi = nnz;
+        for r in (0..self.rows as usize).rev() {
+            if shift == 0 {
+                break;
+            }
+            let lo = self.row_ptr[r];
+            self.row_ptr[r + 1] = hi + shift;
+            if lo == hi && r < n {
+                shift -= 1;
+                self.col_idx[hi + shift] = r as u64;
+                self.values[hi + shift] = value;
+            } else {
+                self.col_idx.copy_within(lo..hi, lo + shift);
+                self.values.copy_within(lo..hi, lo + shift);
+            }
+            hi = lo;
+        }
     }
 
     /// The transpose as a new CSR matrix (i.e. CSC view of `self`).
@@ -386,10 +495,11 @@ impl ColBuf {
         }
     }
 
-    fn widen(self) -> Vec<u64> {
+    /// Appends the columns to `out` in the canonical `u64` form.
+    fn widen_into(self, out: &mut Vec<u64>) {
         match self {
-            ColBuf::Narrow(v) => v.into_iter().map(u64::from).collect(),
-            ColBuf::Wide(v) => v,
+            ColBuf::Narrow(v) => out.extend(v.iter().map(|&c| u64::from(c))),
+            ColBuf::Wide(v) => out.extend_from_slice(&v),
         }
     }
 }
@@ -555,8 +665,10 @@ impl<T: Scalar> Csr<T> {
     /// Concatenates segments covering `0..n` contiguously (in order, no
     /// gaps, no overlap) into the full `n × n` matrix. Row pointers are
     /// offset by the running entry count; columns widen from the narrow
-    /// build form one segment at a time, so the transient overhead is one
-    /// segment's narrow buffer rather than the whole matrix's.
+    /// build form one segment at a time, straight into the output, so the
+    /// transient overhead is one segment's narrow buffer rather than the
+    /// whole matrix's. The first segment's value storage becomes the
+    /// matrix's, so a single-segment build copies no values at all.
     ///
     /// # Panics
     ///
@@ -566,7 +678,7 @@ impl<T: Scalar> Csr<T> {
         let mut row_ptr = Vec::with_capacity(n as usize + 1);
         row_ptr.push(0usize);
         let mut col_idx: Vec<u64> = Vec::with_capacity(nnz);
-        let mut values: Vec<T> = Vec::with_capacity(nnz);
+        let mut values: Vec<T> = Vec::new();
         let mut next_row = 0u64;
         for seg in segments {
             assert!(
@@ -577,8 +689,13 @@ impl<T: Scalar> Csr<T> {
             );
             let base = col_idx.len();
             row_ptr.extend(seg.row_ptr[1..].iter().map(|&p| base + p));
-            col_idx.extend(seg.col_idx.widen());
-            values.extend(seg.values);
+            seg.col_idx.widen_into(&mut col_idx);
+            if values.is_empty() {
+                values = seg.values;
+                values.reserve_exact(nnz - values.len());
+            } else {
+                values.extend(seg.values);
+            }
             next_row = seg.hi;
         }
         assert!(next_row == n, "segments cover only 0..{next_row} of 0..{n}");
@@ -788,7 +905,13 @@ mod tests {
         ));
         let mut buf = ColBuf::new(1 << 62);
         buf.push(1 << 40);
-        assert_eq!(buf.widen(), vec![1u64 << 40]);
+        let mut out = vec![3];
+        buf.widen_into(&mut out);
+        assert_eq!(out, vec![3, 1u64 << 40]);
+        let mut narrow = ColBuf::new(1 << 20);
+        narrow.push(7);
+        narrow.widen_into(&mut out);
+        assert_eq!(out, vec![3, 1u64 << 40, 7]);
     }
 
     #[test]

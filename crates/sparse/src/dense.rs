@@ -214,7 +214,7 @@ mod tests {
         coo.push(1, 0, 1);
         coo.push(1, 2, 1);
         coo.push(2, 2, 1);
-        let a = crate::ops::normalize_rows(&coo.compress());
+        let a = crate::ops::normalize_rows(coo.compress());
         let m = Dense::pagerank_matrix(&a, 0.85);
         for c in 0..3 {
             let col_sum: f64 = (0..3).map(|r| m.get(r, c)).sum();

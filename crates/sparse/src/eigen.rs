@@ -156,7 +156,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (0, 2)] {
             coo.push(u, v, 1);
         }
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let at = a.transpose();
 
         let sparse = pagerank_eigenvector(&at, 0.85, 2000, 1e-14);

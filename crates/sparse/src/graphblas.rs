@@ -165,9 +165,11 @@ pub fn apply<T: Copy, U>(v: &[T], f: impl Fn(T) -> U) -> Vec<U> {
     v.iter().map(|&x| f(x)).collect()
 }
 
-/// Keeps the matrix entries satisfying `keep` (GraphBLAS `GrB_select`).
-pub fn select<T: Scalar>(a: &Csr<T>, keep: impl Fn(u64, u64, T) -> bool) -> Csr<T> {
-    a.map(|r, c, v| if keep(r, c, v) { v } else { T::ZERO })
+/// Keeps the matrix entries satisfying `keep` (GraphBLAS `GrB_select`
+/// with the output aliasing the input), compacting `a`'s own storage.
+pub fn select<T: Scalar>(mut a: Csr<T>, keep: impl Fn(u64, u64, T) -> bool) -> Csr<T> {
+    a.retain(|r, c, &v| keep(r, c, v));
+    a
 }
 
 /// `C = A ⊕.⊗ B` — matrix–matrix multiply over the semiring `S`
@@ -351,7 +353,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)] {
             coo.push(u, v, 1);
         }
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let x = [0.1, 0.2, 0.3, 0.4];
         let semiring = vxm::<PlusTimes>(&x, &a);
         let direct = crate::spmv::vxm(&x, &a);
@@ -432,7 +434,7 @@ mod tests {
     #[test]
     fn select_filters_entries() {
         let a = weighted();
-        let big = select(&a, |_, _, v| v > 2.5);
+        let big = select(a, |_, _, v| v > 2.5);
         assert_eq!(big.nnz(), 2);
         assert_eq!(big.get(0, 1), None);
         assert_eq!(big.get(0, 2), Some(10.0));

@@ -41,7 +41,7 @@
 //! let mut coo = Coo::<u64>::new(2, 2);
 //! coo.push(0, 1, 1);
 //! coo.push(1, 0, 1);
-//! let a = ops::normalize_rows(&coo.compress());
+//! let a = ops::normalize_rows(coo.compress());
 //! assert_eq!(spmv::vxm(&[0.25, 0.75], &a), vec![0.75, 0.25]);
 //! ```
 

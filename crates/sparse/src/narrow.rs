@@ -5,8 +5,9 @@
 //! vertices, so the wide `u64` column indices of [`Csr`] waste half the
 //! index bandwidth of the kernel-3 hot loop. [`Csr32`] stores the same
 //! structure with `u32` columns; [`crate::spmv`]'s view-based kernels run
-//! unchanged over either width, and the parallel backend selects the
-//! narrow form automatically whenever [`Csr32::try_from_wide`] succeeds.
+//! unchanged over either width, and the parallel backend builds its
+//! gather-form transpose straight into the narrow form
+//! ([`Csr32::try_transpose`]) whenever the vertex count fits.
 
 use crate::csr::CsrView;
 use crate::Csr;
@@ -41,6 +42,51 @@ impl Csr32 {
             row_ptr: wide.row_ptr().to_vec(),
             col_idx,
             values: wide.values().to_vec(),
+        })
+    }
+
+    /// The transpose of `a`, built straight into the narrow form: a
+    /// counting-sort scatter that writes `u32` columns directly, so no
+    /// wide transpose exists on the way. Returns `None`, before allocating
+    /// anything, when either dimension exceeds `2^32`.
+    ///
+    /// Equal, entry for entry and bit for bit, to
+    /// `Csr32::try_from_wide(&a.transpose())`: rows of `a` are scanned in
+    /// order, so each output row comes out sorted.
+    pub fn try_transpose(a: &Csr<f64>) -> Option<Self> {
+        let fits = |d: u64| d <= u64::from(u32::MAX) + 1;
+        if !fits(a.rows()) || !fits(a.cols()) {
+            return None;
+        }
+        // Count column c into slot c + 2, so that after the prefix sum
+        // slot c + 1 is where output row c starts and can serve as its
+        // write cursor; once the scatter is done it holds where row c
+        // ends, which is where row c + 1 starts. The spare last slot goes.
+        let mut row_ptr = vec![0usize; a.cols() as usize + 2];
+        for &c in a.col_indices() {
+            row_ptr[c as usize + 2] += 1;
+        }
+        for i in 2..row_ptr.len() {
+            row_ptr[i] += row_ptr[i - 1];
+        }
+        let mut col_idx = vec![0u32; a.nnz()];
+        let mut values = vec![0.0f64; a.nnz()];
+        for r in 0..a.rows() {
+            let (cols, vals) = a.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let slot = &mut row_ptr[c as usize + 1];
+                col_idx[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
+            }
+        }
+        row_ptr.pop();
+        Some(Self {
+            rows: a.cols(),
+            cols: a.rows(),
+            row_ptr,
+            col_idx,
+            values,
         })
     }
 
@@ -157,6 +203,25 @@ mod tests {
         // Exactly 2^32 columns still fits: max index is u32::MAX.
         let edge = Csr::<f64>::zero(2, u64::from(u32::MAX) + 1);
         assert!(Csr32::try_from_wide(&edge).is_some());
+    }
+
+    #[test]
+    fn try_transpose_equals_narrowed_wide_transpose() {
+        let a = sample();
+        let t = Csr32::try_transpose(&a).expect("4 cols fit u32");
+        assert_eq!(Some(t), Csr32::try_from_wide(&a.transpose()));
+        let empty = Csr::<f64>::zero(0, 0);
+        assert_eq!(
+            Csr32::try_transpose(&empty),
+            Csr32::try_from_wide(&empty.transpose())
+        );
+    }
+
+    #[test]
+    fn try_transpose_refuses_more_than_2_pow_32_columns() {
+        // A one-row zero matrix is small; its transpose's 2^33 + 1 row
+        // pointers would not be, and are never allocated.
+        assert!(Csr32::try_transpose(&Csr::<f64>::zero(1, 1 << 33)).is_none());
     }
 
     #[test]

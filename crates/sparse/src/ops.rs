@@ -7,7 +7,7 @@ use crate::{Csr, Scalar};
 /// values are edge counts).
 pub fn col_sums<T: Scalar>(a: &Csr<T>) -> Vec<T> {
     let mut sums = vec![T::ZERO; a.cols() as usize];
-    for (_, c, v) in a.iter() {
+    for (&c, &v) in a.col_indices().iter().zip(a.values()) {
         sums[c as usize] = sums[c as usize].add(v);
     }
     sums
@@ -34,30 +34,30 @@ pub fn col_nnz<T: Scalar>(a: &Csr<T>) -> Vec<u64> {
     counts
 }
 
-/// `A(:, mask) = 0`: drops every stored entry whose column is flagged.
+/// `A(:, mask) = 0`: drops every stored entry whose column is flagged,
+/// compacting the matrix's own `col_idx`/`values` in place.
 ///
 /// # Panics
 ///
 /// Panics if `mask.len() != a.cols()`.
-pub fn zero_columns<T: Scalar>(a: &Csr<T>, mask: &[bool]) -> Csr<T> {
+pub fn zero_columns<T: Scalar>(mut a: Csr<T>, mask: &[bool]) -> Csr<T> {
     assert_eq!(
         mask.len() as u64,
         a.cols(),
         "mask length must equal column count"
     );
-    a.map(|_, c, v| if mask[c as usize] { T::ZERO } else { v })
+    a.retain(|_, c, _| !mask[c as usize]);
+    a
 }
 
 /// Kernel 2's normalization: `A(i,:) = A(i,:) ./ dout(i)` for rows with
-/// positive sum. Converts counts to row-stochastic doubles; empty rows stay
-/// empty (the "dangling node" rows the paper deliberately leaves alone).
-pub fn normalize_rows(a: &Csr<u64>) -> Csr<f64> {
-    let dout = row_sums(a);
-    a.map(|r, _, v| {
-        let d = dout[r as usize];
-        debug_assert!(d > 0, "row with entries must have positive sum");
-        v as f64 / d as f64
-    })
+/// positive sum. Converts counts to row-stochastic doubles, each entry
+/// `v as f64 / dout as f64`; empty rows stay empty (the "dangling node"
+/// rows the paper deliberately leaves alone). The index arrays are reused
+/// and the `u64` value storage becomes the `f64` storage in place.
+pub fn normalize_rows(a: Csr<u64>) -> Csr<f64> {
+    let dout = row_sums(&a);
+    a.map_values(|r, v| v as f64 / dout[r as usize] as f64)
 }
 
 /// Generic row scaling: multiplies row `r` by `factors[r]`. Entries scaled
@@ -71,30 +71,22 @@ pub fn scale_rows(a: &Csr<f64>, factors: &[f64]) -> Csr<f64> {
     a.map(|r, _, v| v * factors[r as usize])
 }
 
-/// Adds `value` on the diagonal of every row selected by `select` (merging
-/// with an existing entry if present). Used for the paper's §V option of
-/// giving empty rows/columns a diagonal entry so PageRank converges.
-pub fn add_diagonal_where<T: Scalar>(
-    a: &Csr<T>,
-    mut select: impl FnMut(u64) -> bool,
-    value: T,
-) -> Csr<T> {
-    let n = a.rows().min(a.cols());
-    let mut coo = crate::Coo::with_capacity(a.rows(), a.cols(), a.nnz() + n as usize);
-    for (r, c, v) in a.iter() {
-        coo.push(r, c, v);
-    }
-    for i in 0..n {
-        if select(i) {
-            coo.push(i, i, value);
-        }
-    }
-    coo.compress()
+/// Puts `value` on the diagonal of every empty row — the paper's §V option
+/// of giving empty rows a diagonal entry so PageRank converges. The
+/// entries shift within the matrix's own storage; no copy is made.
+pub fn add_diagonal_to_empty_rows<T: Scalar>(mut a: Csr<T>, value: T) -> Csr<T> {
+    a.fill_empty_diagonal(value);
+    a
 }
 
 /// Rows with no stored entries (dangling nodes once values are weights).
 pub fn empty_rows<T: Scalar>(a: &Csr<T>) -> Vec<bool> {
     (0..a.rows()).map(|r| a.row_nnz(r) == 0).collect()
+}
+
+/// How many rows have no stored entries, read off `row_ptr`.
+pub fn empty_row_count<T: Scalar>(a: &Csr<T>) -> u64 {
+    a.row_ptr().windows(2).filter(|w| w[0] == w[1]).count() as u64
 }
 
 #[cfg(test)]
@@ -124,26 +116,25 @@ mod tests {
 
     #[test]
     fn zero_columns_drops_only_flagged() {
-        let a = sample();
-        let z = zero_columns(&a, &[true, false, false]);
+        let z = zero_columns(sample(), &[true, false, false]);
         assert_eq!(z.get(0, 0), None);
         assert_eq!(z.get(2, 0), None);
         assert_eq!(z.get(0, 1), Some(2));
         assert_eq!(z.get(1, 2), Some(3));
         assert_eq!(z.nnz(), 2);
+        assert_eq!(z.row_ptr(), &[0, 1, 2, 2]);
         z.check_invariants().unwrap();
     }
 
     #[test]
     #[should_panic(expected = "mask length")]
     fn zero_columns_checks_mask_length() {
-        let _ = zero_columns(&sample(), &[true]);
+        let _ = zero_columns(sample(), &[true]);
     }
 
     #[test]
     fn normalize_makes_rows_stochastic() {
-        let a = sample();
-        let n = normalize_rows(&a);
+        let n = normalize_rows(sample());
         let sums = row_sums(&n);
         assert!((sums[0] - 1.0).abs() < 1e-12);
         assert!((sums[1] - 1.0).abs() < 1e-12);
@@ -153,19 +144,29 @@ mod tests {
     }
 
     #[test]
+    fn normalize_rewrites_the_value_storage_in_place() {
+        let a = sample();
+        let (cols, vals) = (a.col_indices().as_ptr(), a.values().as_ptr());
+        let n = normalize_rows(a);
+        assert_eq!(n.col_indices().as_ptr(), cols, "index array moved");
+        assert_eq!(n.values().as_ptr().cast::<u64>(), vals, "values copied");
+    }
+
+    #[test]
     fn normalize_leaves_empty_rows_empty() {
         let mut coo = Coo::<u64>::new(3, 3);
         coo.push(0, 1, 4);
-        let n = normalize_rows(&coo.compress());
+        let n = normalize_rows(coo.compress());
         assert_eq!(n.row_nnz(0), 1);
         assert_eq!(n.row_nnz(1), 0);
         assert_eq!(n.row_nnz(2), 0);
         assert_eq!(n.get(0, 1), Some(1.0));
+        assert_eq!(empty_row_count(&n), 2);
     }
 
     #[test]
     fn scale_rows_drops_zeroed() {
-        let a = normalize_rows(&sample());
+        let a = normalize_rows(sample());
         let s = scale_rows(&a, &[1.0, 0.0, 2.0]);
         assert_eq!(s.row_nnz(1), 0);
         assert_eq!(s.get(2, 0), Some(2.0));
@@ -177,23 +178,25 @@ mod tests {
         coo.push(0, 1, 1);
         coo.push(2, 2, 5); // row 2 already has its diagonal
         let a = coo.compress();
-        let empties = empty_rows(&a);
-        assert_eq!(empties, vec![false, true, false, true]);
-        let repaired = add_diagonal_where(&a, |i| empties[i as usize], 1);
+        assert_eq!(empty_rows(&a), vec![false, true, false, true]);
+        assert_eq!(empty_row_count(&a), 2);
+        let repaired = add_diagonal_to_empty_rows(a, 1);
         assert_eq!(repaired.get(1, 1), Some(1));
         assert_eq!(repaired.get(3, 3), Some(1));
         assert_eq!(repaired.get(2, 2), Some(5), "existing diagonal untouched");
         assert_eq!(repaired.get(0, 0), None, "non-empty rows not touched");
+        assert_eq!(repaired.row_ptr(), &[0, 1, 2, 3, 4]);
         repaired.check_invariants().unwrap();
     }
 
     #[test]
-    fn add_diagonal_merges_with_existing_entry() {
-        let mut coo = Coo::<u64>::new(2, 2);
-        coo.push(0, 0, 3);
-        let a = coo.compress();
-        let out = add_diagonal_where(&a, |_| true, 2);
-        assert_eq!(out.get(0, 0), Some(5));
-        assert_eq!(out.get(1, 1), Some(2));
+    fn diagonal_repair_stays_inside_a_rectangle() {
+        // Rows past min(rows, cols) have no diagonal slot to fill.
+        let repaired = add_diagonal_to_empty_rows(Csr::<u64>::zero(3, 2), 7);
+        assert_eq!(repaired.nnz(), 2);
+        assert_eq!(repaired.get(0, 0), Some(7));
+        assert_eq!(repaired.get(1, 1), Some(7));
+        assert_eq!(repaired.row_nnz(2), 0);
+        repaired.check_invariants().unwrap();
     }
 }

@@ -286,7 +286,7 @@ mod tests {
         coo.push(0, 1, 1);
         coo.push(1, 2, 2);
         coo.push(2, 0, 3);
-        ops::normalize_rows(&coo.compress())
+        ops::normalize_rows(coo.compress())
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
     fn empty_rows_contribute_nothing() {
         let mut coo = Coo::<u64>::new(3, 3);
         coo.push(0, 1, 1);
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let y = vxm(&[1.0, 1.0, 1.0], &a);
         assert_eq!(y, vec![0.0, 1.0, 0.0]);
     }
@@ -355,7 +355,7 @@ mod tests {
             coo.push(c, 0, 1); // and everything points back at the hub
         }
         coo.push(2, 3, 1);
-        ops::normalize_rows(&coo.compress())
+        ops::normalize_rows(coo.compress())
     }
 
     #[test]
@@ -425,7 +425,7 @@ mod tests {
         let mut coo = Coo::<u64>::new(3, 3);
         coo.push(0, 1, 1);
         coo.push(2, 0, 1);
-        let a = ops::normalize_rows(&coo.compress());
+        let a = ops::normalize_rows(coo.compress());
         let at = a.transpose();
         let x = [0.2, 0.3, 0.5];
         let c = 0.85;

@@ -99,9 +99,9 @@ proptest! {
     fn kernel2_style_ops(triplets in arb_triplets(12, 80), flag in 0u64..12) {
         let a = build(12, &triplets);
         let mask: Vec<bool> = (0..12).map(|c| c == flag).collect();
-        let zeroed = ops::zero_columns(&a, &mask);
+        let zeroed = ops::zero_columns(a, &mask);
         prop_assert_eq!(ops::col_sums(&zeroed)[flag as usize], 0);
-        let norm = ops::normalize_rows(&zeroed);
+        let norm = ops::normalize_rows(zeroed);
         for (r, &s) in ops::row_sums(&norm).iter().enumerate() {
             if norm.row_nnz(r as u64) > 0 {
                 prop_assert!((s - 1.0).abs() < 1e-9, "row {r} sums to {s}");
@@ -279,7 +279,7 @@ proptest! {
         use_sink: bool,
         chunks in 1usize..6,
     ) {
-        let a = ops::normalize_rows(&build(9, &triplets));
+        let a = ops::normalize_rows(build(9, &triplets));
         let at = a.transpose();
         let mask = ops::empty_rows(&a);
         let coeffs = spmv::StepCoeffs {
@@ -321,7 +321,7 @@ proptest! {
         // Dangling rows leak mass and drop the eigenvalue below 1; the
         // benchmark tolerates that, but this property wants the clean case.
         prop_assume!((0..8).all(|r| counts.row_nnz(r) > 0));
-        let a = ops::normalize_rows(&counts);
+        let a = ops::normalize_rows(counts);
         let at = a.transpose();
         let c = 0.85;
         let r = eigen::pagerank_eigenvector(&at, c, 5000, 1e-13);
@@ -335,4 +335,154 @@ proptest! {
         }
         prop_assert!(vector::l1_distance(&image, &r.vector) < 1e-6);
     }
+}
+
+/// Strategy: a count matrix of any shape up to 7×7 — 0×0, 0×n and n×0
+/// included — with duplicates accumulated and any row possibly empty.
+fn arb_shaped_counts() -> impl Strategy<Value = Csr<u64>> {
+    let raw = proptest::collection::vec((0u64..64, 0u64..64, 1u64..5), 0..40);
+    (0u64..8, 0u64..8, raw).prop_map(|(rows, cols, raw)| {
+        let mut coo = Coo::new(rows, cols);
+        if rows > 0 && cols > 0 {
+            for (r, c, v) in raw {
+                coo.push(r % rows, c % cols, v);
+            }
+        }
+        coo.compress()
+    })
+}
+
+/// The copying form of `A(:, mask) = 0`: every surviving entry through a
+/// triplet list and `Coo::compress`.
+fn copied_zero_columns(a: &Csr<u64>, mask: &[bool]) -> Csr<u64> {
+    let mut coo = Coo::new(a.rows(), a.cols());
+    for (r, c, v) in a.iter().filter(|&(_, c, _)| !mask[c as usize]) {
+        coo.push(r, c, v);
+    }
+    coo.compress()
+}
+
+/// The copying form of row normalization, with the formula kernel 2 has
+/// always used: `v as f64 / dout as f64`.
+fn copied_normalize(a: &Csr<u64>) -> Csr<f64> {
+    let dout = ops::row_sums(a);
+    let mut coo = Coo::new(a.rows(), a.cols());
+    for (r, c, v) in a.iter() {
+        coo.push(r, c, v as f64 / dout[r as usize] as f64);
+    }
+    coo.compress()
+}
+
+/// The copying form of the diagonal repair: a unit entry on the diagonal
+/// of every empty row that has one.
+fn copied_diagonal_repair(a: &Csr<u64>) -> Csr<u64> {
+    let empty = ops::empty_rows(a);
+    let mut coo = Coo::new(a.rows(), a.cols());
+    for (r, c, v) in a.iter() {
+        coo.push(r, c, v);
+    }
+    for i in 0..a.rows().min(a.cols()) {
+        if empty[i as usize] {
+            coo.push(i, i, 1);
+        }
+    }
+    coo.compress()
+}
+
+/// Same shape, same structure, and the same bits in every value.
+fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    (a.rows(), a.cols()) == (b.rows(), b.cols())
+        && a.row_ptr() == b.row_ptr()
+        && a.col_indices() == b.col_indices()
+        && a.values().len() == b.values().len()
+        && a.values()
+            .iter()
+            .zip(b.values())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Kernel 2's in-place steps equal their copying forms bit for bit,
+    /// on every shape: column zeroing under any mask, row normalization,
+    /// the diagonal repair, and all three chained as kernel 2 chains them.
+    #[test]
+    fn in_place_kernel2_steps_equal_their_copying_forms(
+        a in arb_shaped_counts(),
+        bits: u64,
+    ) {
+        let mask: Vec<bool> = (0..a.cols()).map(|c| (bits >> c) & 1 == 1).collect();
+        let zeroed = ops::zero_columns(a.clone(), &mask);
+        zeroed.check_invariants().unwrap();
+        prop_assert_eq!(&zeroed, &copied_zero_columns(&a, &mask));
+
+        let normalized = ops::normalize_rows(a.clone());
+        prop_assert!(same_bits(&normalized, &copied_normalize(&a)));
+
+        let repaired = ops::add_diagonal_to_empty_rows(a.clone(), 1);
+        repaired.check_invariants().unwrap();
+        prop_assert_eq!(&repaired, &copied_diagonal_repair(&a));
+
+        let chained = ops::normalize_rows(ops::add_diagonal_to_empty_rows(zeroed, 1));
+        let reference =
+            copied_normalize(&copied_diagonal_repair(&copied_zero_columns(&a, &mask)));
+        prop_assert!(same_bits(&chained, &reference));
+    }
+
+    /// The counting-sort transpose straight into `u32` columns equals the
+    /// wide transpose narrowed afterwards, on every shape.
+    #[test]
+    fn try_transpose_equals_narrowed_wide_transpose(a in arb_shaped_counts()) {
+        let a = a.map(|_, _, v| v as f64 / 3.0);
+        prop_assert_eq!(Csr32::try_transpose(&a), Csr32::try_from_wide(&a.transpose()));
+    }
+}
+
+#[test]
+fn in_place_kernel2_steps_on_the_degenerate_shapes() {
+    let all_ones = |rows: u64, cols: u64| {
+        let mut coo = Coo::new(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                coo.push(r, c, r + c + 1);
+            }
+        }
+        coo.compress()
+    };
+    let cases = [
+        Csr::<u64>::zero(0, 0),
+        Csr::<u64>::zero(5, 5),
+        Csr::<u64>::zero(3, 0),
+        all_ones(4, 4),
+        all_ones(2, 5),
+    ];
+    for a in cases {
+        let shape = (a.rows(), a.cols());
+        for mask in [
+            vec![false; a.cols() as usize],
+            vec![true; a.cols() as usize],
+        ] {
+            let zeroed = ops::zero_columns(a.clone(), &mask);
+            assert_eq!(zeroed, copied_zero_columns(&a, &mask), "{shape:?}");
+            if mask.iter().all(|&m| m) {
+                assert_eq!(zeroed.nnz(), 0, "{shape:?}: all columns masked");
+            }
+            let repaired = ops::add_diagonal_to_empty_rows(zeroed.clone(), 1);
+            assert_eq!(repaired, copied_diagonal_repair(&zeroed), "{shape:?}");
+            let normalized = ops::normalize_rows(repaired.clone());
+            assert!(
+                same_bits(&normalized, &copied_normalize(&repaired)),
+                "{shape:?}"
+            );
+            assert_eq!(
+                Csr32::try_transpose(&normalized),
+                Csr32::try_from_wide(&normalized.transpose()),
+                "{shape:?}"
+            );
+        }
+    }
+    // More than 2^32 columns: refused before the 2^33 + 1 row pointers of
+    // the transpose are allocated.
+    assert!(Csr32::try_transpose(&Csr::<f64>::zero(1, 1 << 33)).is_none());
 }

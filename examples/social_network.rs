@@ -49,8 +49,7 @@ fn main() {
     }
     let counts = coo.compress();
     // Keep dangling accounts stochastic via the §V diagonal repair.
-    let repaired = ops::add_diagonal_where(&counts, |i| counts.row_nnz(i) == 0, 1);
-    let a = ops::normalize_rows(&repaired);
+    let a = ops::normalize_rows(ops::add_diagonal_to_empty_rows(counts, 1));
     let ranks = ppbench::core::kernel3::pagerank(
         ppbench::core::kernel3::init_ranks(n, 1),
         |x| ppbench::sparse::spmv::vxm(x, &a),

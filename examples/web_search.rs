@@ -49,7 +49,7 @@ fn part1_named_pages() {
     // Kernel-2 policy would delete the most-linked page (the "super-node");
     // for a real ranking we keep everything and only row-normalize, which
     // the library exposes as the degenerate filter with no max-degree tie.
-    let a = ppbench::sparse::ops::normalize_rows(&coo.compress());
+    let a = ppbench::sparse::ops::normalize_rows(coo.compress());
 
     let r0 = kernel3::init_ranks(n, 7);
     let ranks = kernel3::pagerank(r0, |x| spmv::vxm(x, &a), 0.85, 100);

@@ -147,7 +147,7 @@ fn pagerank_update_matches_papers_appendix_formula() {
     let mut coo = ppbench::sparse::Coo::<u64>::new(2, 2);
     coo.push(0, 1, 1);
     coo.push(1, 0, 1);
-    let a = ops::normalize_rows(&coo.compress());
+    let a = ops::normalize_rows(coo.compress());
     let r1 = kernel3::step(&[0.25, 0.75], |x| ppbench::sparse::spmv::vxm(x, &a), 0.85);
     assert!((r1[0] - 0.7125).abs() < 1e-15, "{r1:?}");
     assert!((r1[1] - 0.2875).abs() < 1e-15, "{r1:?}");
