@@ -22,10 +22,6 @@
 //! ranges or per-chunk outputs concatenated in chunk order — with no
 //! atomics and no `unsafe`.
 
-#![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
-#![warn(missing_docs)]
-
 pub mod bfs;
 pub mod cc;
 pub mod graph;

@@ -6,6 +6,17 @@
 //! to reproduce the figures' *shape*; these pin each kernel at a fixed
 //! scale for statistically tight regression tracking.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    missing_docs,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it; criterion_group! emits an undocumented fn"
+)]
+
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

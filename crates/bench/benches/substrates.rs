@@ -3,6 +3,17 @@
 //! be made based on simple computing hardware models" angle: these numbers
 //! are the model inputs).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    missing_docs,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it; criterion_group! emits an undocumented fn"
+)]
+
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -25,9 +25,10 @@
 //! bodies, its flags, and one typed field list from which the JSON, the
 //! table and the schema gate are all derived.
 
-#![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
-#![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the harness times the system under test; timings are its output"
+)]
 
 pub mod algo;
 pub mod harness;

@@ -95,7 +95,10 @@ pub fn run_sweep(
             let result = Pipeline::new(pipeline_cfg, &dir).run()?;
             // Remove kernel files promptly: a full sweep writes each edge
             // list twice per variant.
-            // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup between points; the measurement is already taken")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort scratch cleanup between points; the measurement is already taken"
+            )]
             let _ = std::fs::remove_dir_all(&dir);
             let point = SweepPoint::from_result(variant, &result)?;
             progress(&point);
@@ -145,11 +148,14 @@ pub fn kernel_series(points: &[SweepPoint], kernel: usize) -> Vec<(String, Vec<(
     let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
     for p in points {
         let label = p.variant.name().to_string();
+        #[expect(
+            clippy::expect_used,
+            reason = "an element was pushed on the previous line, so last_mut() is provably Some"
+        )]
         let entry = match series.iter_mut().find(|(l, _)| *l == label) {
             Some(e) => e,
             None => {
                 series.push((label, Vec::new()));
-                // ppbench: allow(panic, reason = "an element was pushed on the previous line, so last_mut() is provably Some")
                 series.last_mut().expect("just pushed")
             }
         };

@@ -2,6 +2,16 @@
 //! baselines: each passes, each rejects drift in either direction, and
 //! none depends on the canonical writer's exact spacing.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench_bench::check_document;
 
 /// `(committed file, its schema tag)`, one per sweep.

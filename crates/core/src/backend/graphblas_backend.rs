@@ -81,15 +81,9 @@ impl Backend for GraphBlasBackend {
         let total_edge_count = edges.len() as u64;
         let counts = self.build_matrix(n, edges);
 
-        // din = 𝟙 ⊕.⊗ A over plus-times — the GraphBLAS way to reduce
-        // columns. (Counts convert exactly to f64 far beyond any benchmark
-        // scale.)
-        let din: Vec<u64> = {
-            let a_f64 = counts.map(|_, _, v| v as f64);
-            let ones = vec![1.0f64; n as usize];
-            let din_f = graphblas::vxm::<graphblas::PlusTimes>(&ones, &a_f64);
-            din_f.iter().map(|&d| d as u64).collect()
-        };
+        // din = 𝟙 ⊕.⊗ A over plus-times on the counts themselves — the
+        // GraphBLAS way to reduce columns.
+        let din = graphblas::vxm::<graphblas::PlusTimesU64>(&vec![1u64; n as usize], &counts);
         let max_in_degree = din.iter().copied().max().unwrap_or(0);
         let kill = |c: u64| {
             let d = din[c as usize];

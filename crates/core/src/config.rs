@@ -669,6 +669,10 @@ impl PipelineConfigBuilder {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: the sets only count distinct hashes; their order is never observed"
+)]
 mod tests {
     use super::*;
 

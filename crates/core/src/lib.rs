@@ -37,10 +37,6 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
-#![warn(missing_docs)]
-
 pub mod backend;
 mod config;
 mod error;

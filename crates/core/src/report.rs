@@ -166,6 +166,10 @@ fn optional<T>(v: &Json, key: &str, read: fn(&Json) -> Option<T>) -> Result<Opti
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code: a wall-clock bound catches a quadratic parser; no kernel result is timed"
+)]
 mod tests {
     use super::*;
     use crate::{Pipeline, PipelineConfig};

@@ -1,4 +1,10 @@
 //! Wall-clock timing and the benchmark's throughput metrics.
+//!
+//! This is the one module of a kernel crate that reads the wall clock.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned clock: kernels time themselves through this module only"
+)]
 
 use std::time::Instant;
 

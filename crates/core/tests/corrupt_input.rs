@@ -9,6 +9,16 @@
 //! corruption × `Variant::ALL` × {kernel 1, fused kernel 1+2} × {in memory,
 //! spilling} plus kernel 2.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use std::path::Path;
 
 use ppbench_core::{PipelineConfig, Variant};

@@ -7,6 +7,16 @@
 //! one kernel-0 file set. (This binary holds one test because it resizes
 //! the process-wide pool.)
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench_core::{PipelineConfig, Variant};
 use ppbench_io::checksum::EdgeDigest;
 use ppbench_io::tempdir::TempDir;

@@ -2,6 +2,16 @@
 //! hold for *every* seed, scale and option combination, not just the ones
 //! the unit tests pick.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench_core::kernel2::FilterStats;
 use ppbench_core::{kernel2, kernel3, Pipeline, PipelineConfig, ValidationLevel};
 use ppbench_io::tempdir::TempDir;

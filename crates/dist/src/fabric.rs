@@ -73,8 +73,11 @@ impl Fabric {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "src and dst are rank ids handed out by run_cluster, always < workers; the grid is allocated as workers^2 in new()"
+    )]
     fn slot(&self, src: usize, dst: usize) -> &Slot {
-        // ppbench: allow(indexing, reason = "src and dst are rank ids handed out by run_cluster, always < workers; the grid is allocated as workers^2 in new()")
         &self.slots[src * self.workers + dst]
     }
 
@@ -83,16 +86,22 @@ impl Fabric {
     /// a rank skipped a collective, or two ranks called different
     /// collectives — which are programming errors on par with a failed
     /// `assert!`, not runtime conditions a caller could handle.
+    #[expect(
+        clippy::expect_used,
+        reason = "BSP invariant: all ranks call the same collectives in the same order, so the deposited type always matches"
+    )]
     fn take_deposit<T: Send + 'static>(&self, src: usize, dst: usize) -> T {
+        #[expect(
+            clippy::expect_used,
+            reason = "BSP invariant: every deposit happens before the barrier that precedes this take; absence means a rank skipped the collective"
+        )]
         let boxed = self
             .slot(src, dst)
             .lock()
             .take()
-            // ppbench: allow(panic, reason = "BSP invariant: every deposit happens before the barrier that precedes this take; absence means a rank skipped the collective")
             .expect("BSP protocol: deposit must precede the barrier");
         *boxed
             .downcast::<T>()
-            // ppbench: allow(panic, reason = "BSP invariant: all ranks call the same collectives in the same order, so the deposited type always matches")
             .expect("BSP protocol: collective type mismatch across ranks")
     }
 

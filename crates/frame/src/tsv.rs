@@ -16,6 +16,10 @@ pub(crate) const COL_U: &str = "u";
 pub(crate) const COL_V: &str = "v";
 
 /// Builds a two-column ("u", "v") frame from an edge slice.
+#[expect(
+    clippy::expect_used,
+    reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail"
+)]
 pub fn frame_from_edges(edges: &[Edge]) -> Frame {
     let u: Vec<u64> = edges.iter().map(|e| e.u).collect();
     let v: Vec<u64> = edges.iter().map(|e| e.v).collect();
@@ -23,7 +27,6 @@ pub fn frame_from_edges(edges: &[Edge]) -> Frame {
         (COL_U.to_string(), Series::U64(u)),
         (COL_V.to_string(), Series::U64(v)),
     ])
-    // ppbench: allow(panic, reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail")
     .expect("two equal-length fresh columns")
 }
 
@@ -52,6 +55,10 @@ pub fn frame_to_edges(frame: &Frame) -> crate::Result<Vec<Edge>> {
 ///
 /// I/O errors, or [`ppbench_io::Error::Parse`] with 1-based line context
 /// for any malformed line.
+#[expect(
+    clippy::expect_used,
+    reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail"
+)]
 pub fn read_plain_tsv(path: &Path) -> IoResult<Frame> {
     let bytes = std::fs::read(path).map_err(|e| ppbench_io::Error::io(path.to_path_buf(), e))?;
     let mut u = Vec::new();
@@ -77,11 +84,14 @@ pub fn read_plain_tsv(path: &Path) -> IoResult<Frame> {
         (COL_U.to_string(), Series::U64(u)),
         (COL_V.to_string(), Series::U64(v)),
     ])
-    // ppbench: allow(panic, reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail")
     .expect("two equal-length fresh columns"))
 }
 
 /// Reads a manifest-described edge directory into a ("u", "v") frame.
+#[expect(
+    clippy::expect_used,
+    reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail"
+)]
 pub fn read_edge_tsv(dir: &Path) -> IoResult<Frame> {
     let (manifest, iter) = EdgeReader::open_dir(dir)?;
     let cap = manifest.edges as usize;
@@ -96,7 +106,6 @@ pub fn read_edge_tsv(dir: &Path) -> IoResult<Frame> {
         (COL_U.to_string(), Series::U64(u)),
         (COL_V.to_string(), Series::U64(v)),
     ])
-    // ppbench: allow(panic, reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail")
     .expect("two equal-length fresh columns"))
 }
 
@@ -114,15 +123,21 @@ pub fn write_edge_tsv(
     vertex_bound: Option<u64>,
     sort_state: SortState,
 ) -> IoResult<ppbench_io::Manifest> {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs"
+    )]
     let u = frame
         .column(COL_U)
         .and_then(|s| s.as_u64())
-        // ppbench: allow(panic, reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs")
         .expect("frame has u64 'u' column");
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs"
+    )]
     let v = frame
         .column(COL_V)
         .and_then(|s| s.as_u64())
-        // ppbench: allow(panic, reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs")
         .expect("frame has u64 'v' column");
     let mut w = EdgeWriter::create(dir, "edges", num_files, frame.rows() as u64)?;
     for (&a, &b) in u.iter().zip(v) {

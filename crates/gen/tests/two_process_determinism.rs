@@ -9,6 +9,16 @@
 //! variable; the child prints a digest of the streams it generates and the
 //! parent compares it against the digest it computed itself.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench_gen::{EdgeGenerator, GraphSpec, Kronecker, LinearKronecker};
 use ppbench_io::Edge;
 

@@ -242,9 +242,15 @@ impl EdgeFileIter {
                 }
             }
             *record_no += 1;
-            // ppbench: allow(panic, reason = "splitting a fixed [u8; 16] at byte 8 always yields 8-byte halves")
+            #[expect(
+                clippy::expect_used,
+                reason = "splitting a fixed [u8; 16] at byte 8 always yields 8-byte halves"
+            )]
             let u = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            // ppbench: allow(panic, reason = "splitting a fixed [u8; 16] at byte 8 always yields 8-byte halves")
+            #[expect(
+                clippy::expect_used,
+                reason = "splitting a fixed [u8; 16] at byte 8 always yields 8-byte halves"
+            )]
             let v = u64::from_le_bytes(rec[8..].try_into().expect("8 bytes"));
             return Ok(Some(Edge::new(u, v)));
         }

@@ -1,5 +1,15 @@
 //! Property-based tests for the edge-file storage layer.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench_io::{checksum::EdgeDigest, format, tempdir::TempDir, Edge, EdgeReader, SortState};
 use proptest::prelude::*;
 

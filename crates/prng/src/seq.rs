@@ -74,6 +74,10 @@ pub fn sample_distinct<R: Rng64>(n: u64, k: usize, rng: &mut R) -> Vec<u64> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: the map counts outcomes; its order is never observed"
+)]
 mod tests {
     use super::*;
     use crate::{SeedableRng64, Xoshiro256pp};

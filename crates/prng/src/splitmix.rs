@@ -66,6 +66,10 @@ impl SeedableRng64 for SplitMix64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: the set checks membership only; its order is never observed"
+)]
 mod tests {
     use super::*;
 

@@ -1,5 +1,15 @@
 //! Property-based tests for the PRNG substrate.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench_prng::{seq, Pcg32, Rng64, SeedableRng64, SplitMix64, Xoshiro256pp};
 use proptest::prelude::*;
 
@@ -79,19 +89,18 @@ proptest! {
     }
 }
 
-/// Cross-check our uniform doubles against the `rand` crate at the
-/// distribution level (same mean/variance ballpark). This is the only place
-/// the external `rand` crate is used, purely as an independent referee.
+/// Cross-check our uniform doubles against a different generator family at
+/// the distribution level (same mean/variance ballpark): SplitMix64 shares
+/// no state-transition code with xoshiro256++, so it is an independent referee.
 #[test]
-fn distribution_cross_check_with_rand_crate() {
-    use rand::{RngExt as _, SeedableRng as _};
+fn distribution_cross_check_with_splitmix() {
     let n = 200_000;
     let mut ours = Xoshiro256pp::seed_from_u64(99);
-    let mut theirs = rand::rngs::StdRng::seed_from_u64(99);
+    let mut theirs = SplitMix64::seed_from_u64(99);
     let (mut m_ours, mut m_theirs, mut v_ours, mut v_theirs) = (0.0, 0.0, 0.0, 0.0);
     for _ in 0..n {
         let a = ours.next_f64();
-        let b: f64 = theirs.random();
+        let b = theirs.next_f64();
         m_ours += a;
         m_theirs += b;
         v_ours += a * a;

@@ -14,6 +14,16 @@
 //! A positive `--rate` offers that many requests per second open-loop,
 //! with latency measured from each request's *scheduled* arrival.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use std::time::{Duration, Instant};
 
 use ppbench_serve::loadgen::{run_load, LoadConfig};

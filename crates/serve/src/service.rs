@@ -150,8 +150,9 @@ pub struct SubmitReceipt {
 
 struct State {
     // BTreeMap, not HashMap: `/jobs`-style listings and the drain path
-    // observe iteration order, and the determinism invariant (enforced by
-    // ppbench-analyze) requires that order to be stable across runs.
+    // observe iteration order, and the determinism invariant (the
+    // workspace's `clippy::disallowed_types` lint) requires that order to
+    // be stable across runs.
     jobs: BTreeMap<JobId, Job>,
     queue: VecDeque<JobId>,
     /// Terminal job ids in completion order; the pruning window.
@@ -322,7 +323,10 @@ impl Service {
                     inner.state.lock().shutdown = true;
                     inner.work_available.notify_all();
                     for handle in workers {
-                        // ppbench: allow(discarded-result, reason = "already failing with the spawn error; a worker panic here cannot add information")
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "already failing with the spawn error; a worker panic here cannot add information"
+                        )]
                         let _ = handle.join();
                     }
                     return Err(e);
@@ -644,7 +648,10 @@ impl Service {
         }
         self.inner.work_available.notify_all();
         for handle in self.workers.lock().drain(..) {
-            // ppbench: allow(discarded-result, reason = "worker bodies catch panics; a join error here is a bug in the loop itself and drain must still stop the rest")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "worker bodies catch panics; a join error here is a bug in the loop itself and drain must still stop the rest"
+            )]
             let _ = handle.join();
         }
     }
@@ -740,7 +747,10 @@ fn worker_loop(inner: &Inner) {
                 Err(format!("pipeline panicked: {msg}"))
             }
         };
-        // ppbench: allow(discarded-result, reason = "best-effort cleanup of a scratch dir; the job outcome must be published even if removal fails")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup of a scratch dir; the job outcome must be published even if removal fails"
+        )]
         let _ = std::fs::remove_dir_all(&work_dir);
 
         // Publish to the leader and every follower under the state lock;
@@ -791,7 +801,10 @@ fn worker_loop(inner: &Inner) {
         drop(state);
         inner.job_changed.notify_all();
         if let (Some(disk), Some(summary)) = (&inner.disk, persist) {
-            // ppbench: allow(discarded-result, reason = "persisting to the disk tier is best-effort; the result is already published in memory and a full disk must not fail the job")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "persisting to the disk tier is best-effort; the result is already published in memory and a full disk must not fail the job"
+            )]
             let _ = disk.lock().insert(hash, &summary);
         }
     }

@@ -3,6 +3,16 @@
 //! budget — the service-level contract on top of the unit tests in
 //! `src/cache.rs`.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -2,6 +2,16 @@
 //! restart survival — the service-level contracts added alongside the
 //! event-loop front end.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use std::net::{IpAddr, Ipv4Addr};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;

@@ -401,7 +401,10 @@ impl Iterator for MergeStream {
 impl Drop for MergeStream {
     fn drop(&mut self) {
         for file in &self.run_files {
-            // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the merge already succeeded or failed")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort scratch cleanup; the merge already succeeded or failed"
+            )]
             let _ = std::fs::remove_file(file);
         }
     }

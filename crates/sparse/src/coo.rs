@@ -85,15 +85,18 @@ impl<T: Scalar> Coo<T> {
     /// the CSR matrix.
     pub fn compress(mut self) -> Csr<T> {
         self.triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut merged: Vec<(u64, u64, T)> = Vec::with_capacity(self.triplets.len());
-        for (r, c, v) in self.triplets {
-            match merged.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 = last.2.add(v),
-                _ => merged.push((r, c, v)),
+        // Fold each run of equal (row, col) into its first entry, left to
+        // right, in the one sorted vector: f64 sums keep their bits and no
+        // second triplet vector is held.
+        self.triplets.dedup_by(|next, kept| {
+            let same = next.0 == kept.0 && next.1 == kept.1;
+            if same {
+                kept.2 = kept.2.add(next.2);
             }
-        }
-        merged.retain(|&(_, _, v)| v != T::ZERO);
-        Csr::from_sorted_dedup_triplets(self.rows, self.cols, merged)
+            same
+        });
+        self.triplets.retain(|&(_, _, v)| v != T::ZERO);
+        Csr::from_sorted_dedup_triplets(self.rows, self.cols, self.triplets)
     }
 }
 

@@ -50,6 +50,23 @@ impl Semiring for PlusTimes {
     }
 }
 
+/// The arithmetic semiring over counts (ℕ, +, ×): reduces an integer
+/// matrix — kernel 2's in-degrees — without a floating-point copy.
+pub struct PlusTimesU64;
+
+impl Semiring for PlusTimesU64 {
+    type T = u64;
+    fn zero() -> u64 {
+        0
+    }
+    fn add(a: u64, b: u64) -> u64 {
+        a + b
+    }
+    fn mul(a: u64, b: u64) -> u64 {
+        a * b
+    }
+}
+
 /// The tropical semiring (ℝ∪{∞}, min, +): single-source shortest paths.
 pub struct MinPlus;
 

@@ -45,10 +45,6 @@
 //! assert_eq!(spmv::vxm(&[0.25, 0.75], &a), vec![0.75, 0.25]);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
-#![warn(missing_docs)]
-
 pub mod bitset;
 pub mod coo;
 pub mod csr;

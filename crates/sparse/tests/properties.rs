@@ -1,5 +1,15 @@
 //! Property-based tests for the sparse linear algebra substrate.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench_sparse::{dense::Dense, eigen, graphblas, ops, spmv, vector, Coo, Csr, Csr32};
 use proptest::prelude::*;
 
@@ -15,6 +25,42 @@ fn arb_triplets(n: u64, max_nnz: usize) -> impl Strategy<Value = Vec<(u64, u64, 
 fn arb_skewed_triplets(n: u64, max_nnz: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     let endpoint = move || (0u64..5, 0..n).prop_map(|(pick, v)| if pick < 3 { 0 } else { v });
     proptest::collection::vec((endpoint(), endpoint(), 1u64..5), 0..max_nnz)
+}
+
+/// Checks `Coo::compress` against the two-vector form it replaced — sort,
+/// copy each triplet into a second vector merging equal `(row, col)` left
+/// to right, drop zeros — entry by entry and bit for bit.
+fn assert_compress_matches_two_vector_form(n: u64, triplets: &[(u64, u64, f64)]) {
+    let mut coo = Coo::new(n, n);
+    for &(r, c, v) in triplets {
+        coo.push(r, c, v);
+    }
+    let a = coo.compress();
+    let mut sorted = triplets.to_vec();
+    sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
+    let mut merged: Vec<(u64, u64, f64)> = Vec::with_capacity(sorted.len());
+    for (r, c, v) in sorted {
+        match merged.last_mut() {
+            Some(last) if last.0 == r && last.1 == c => last.2 += v,
+            _ => merged.push((r, c, v)),
+        }
+    }
+    merged.retain(|&(_, _, v)| v != 0.0);
+    let expected: Vec<(u64, u64, u64)> = merged
+        .iter()
+        .map(|&(r, c, v)| (r, c, v.to_bits()))
+        .collect();
+    let row_ptr = a.row_ptr();
+    let got: Vec<(u64, u64, u64)> = (0..n as usize)
+        .flat_map(|r| (row_ptr[r]..row_ptr[r + 1]).map(move |k| (r, k)))
+        .map(|(r, k)| (r as u64, a.col_indices()[k], a.values()[k].to_bits()))
+        .collect();
+    assert_eq!(got, expected);
+}
+
+#[test]
+fn compress_of_empty_input_matches_two_vector_form() {
+    assert_compress_matches_two_vector_form(4, &[]);
 }
 
 fn build(n: u64, triplets: &[(u64, u64, u64)]) -> Csr<u64> {
@@ -48,6 +94,19 @@ proptest! {
         let streamed = Csr::<u64>::from_sorted_edge_iter(16, edges.iter().copied());
         streamed.check_invariants().unwrap();
         prop_assert_eq!(streamed, Coo::<u64>::from_edges(16, edges).compress());
+    }
+
+    /// In-place duplicate merging gives the two-vector form's matrix bit for
+    /// bit: few coordinates force duplicates, and the value set makes runs
+    /// that cancel to explicit zeros and f64 sums whose bits depend on order.
+    #[test]
+    fn compress_matches_two_vector_form(
+        triplets in proptest::collection::vec(
+            (0u64..4, 0u64..4, (0usize..6).prop_map(|i| [-1.5, -0.5, 0.1, 0.5, 1.5, 1e-17][i])),
+            0..80,
+        )
+    ) {
+        assert_compress_matches_two_vector_form(4, &triplets);
     }
 
     /// Transposition is an involution and preserves all entries.

@@ -11,6 +11,16 @@
 //! cargo run --release --example social_network
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::gen::{degree, EdgeGenerator, GraphSpec, PerfectPowerLaw};
 use ppbench::sparse::{graphblas, ops, Coo};
 

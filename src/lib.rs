@@ -43,10 +43,6 @@
 //! std::fs::remove_dir_all(&tmp).ok();
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
-#![warn(missing_docs)]
-
 pub use ppbench_algo as algo;
 pub use ppbench_core as core;
 pub use ppbench_dist as dist;

@@ -4,6 +4,16 @@
 //! mixed-backend pipelines (kernels "can be run together or
 //! independently").
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{Pipeline, PipelineConfig, Variant};
 use ppbench::io::tempdir::TempDir;
 use ppbench::sparse::vector;

@@ -8,6 +8,16 @@
 //! independent yet: its gather partition follows the pool size, so its
 //! rank bits still differ between thread counts (open on the roadmap).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{Pipeline, PipelineConfig, Variant};
 use ppbench::gen::{EdgeGenerator, GeneratorKind, GraphSpec};
 use ppbench::io::tempdir::TempDir;

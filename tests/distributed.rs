@@ -2,6 +2,16 @@
 //! the paper's parallel decomposition must agree with the serial pipeline
 //! through the public `ppbench::dist` API.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{rank, Pipeline, PipelineConfig, ValidationLevel, Variant};
 use ppbench::dist::{run_distributed, DistConfig};
 use ppbench::io::tempdir::TempDir;

@@ -2,6 +2,16 @@
 //! dangling-node strategies (the appendix's PageRank variants) and the
 //! convergence-test stopping mode (§IV.D's "real application" behavior).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::kernel3::DanglingStrategy;
 use ppbench::core::{Pipeline, PipelineConfig, Variant};
 use ppbench::io::tempdir::TempDir;

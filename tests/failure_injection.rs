@@ -3,6 +3,16 @@
 //! pipeline's on-disk state between kernels and check every corruption is
 //! caught with a useful error.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{PipelineConfig, Variant};
 use ppbench::io::tempdir::TempDir;
 use ppbench::io::Manifest;

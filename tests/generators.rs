@@ -2,6 +2,16 @@
 //! full pipeline, and the Kronecker output must pass its statistical
 //! validator end-to-end (§V's "validation of all kernels" concern).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{Pipeline, PipelineConfig, ValidationLevel};
 use ppbench::gen::{validate, EdgeGenerator, GeneratorKind, GraphSpec, Kronecker, KroneckerProbs};
 use ppbench::io::tempdir::TempDir;

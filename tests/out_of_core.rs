@@ -2,6 +2,16 @@
 //! and v are too large to fit in memory". These tests force that path and
 //! check it changes nothing but the memory profile.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{Pipeline, PipelineConfig};
 use ppbench::io::tempdir::TempDir;
 

@@ -2,6 +2,16 @@
 //! kernel-by-kernel mathematical contracts, checked end-to-end through the
 //! public API at a non-trivial scale.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{kernel3, Pipeline, PipelineConfig, ValidationLevel};
 use ppbench::gen::GeneratorKind;
 use ppbench::io::tempdir::TempDir;

@@ -3,6 +3,16 @@
 //! same validation machinery, same run records — and be bit-deterministic
 //! across runs, variants, and thread-pool sizes.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test and example code is exempt: a panic is its assertion or error report, and no kernel result depends on it"
+)]
+
 use ppbench::core::{Pipeline, PipelineConfig, Variant, Workload};
 use ppbench::io::tempdir::TempDir;
 
